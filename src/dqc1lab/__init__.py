@@ -6,7 +6,6 @@ correlation measures, certifies full separability of the three-qubit
 output, and runs the correlation-activation protocol.
 """
 
-from ._kernels import active_backend
 from .activation import ActivationResult, AdversaryStrategy, activate, activation_sweep, cnot
 from .correlations import (
     DiscordResult,
@@ -69,7 +68,7 @@ __all__ = [
     "DiscordResult", "Dqc1State", "GHZ_PAULI_STRINGS", "MeasurementBasis",
     "NonGhzDiagonalError", "RHO3_ENTANGLING_CUT", "ReproduceReport",
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
-    "activate", "activation_sweep", "active_backend", "build_dqc1_state",
+    "activate", "activation_sweep", "build_dqc1_state",
     "build_un", "canonical_blocks", "classical_correlation", "cnot",
     "conditional_entropy", "decompose_rho3", "discord", "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",

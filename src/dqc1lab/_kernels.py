@@ -1,16 +1,11 @@
-"""Measurement-grid kernels for the classical-correlation optimizer.
+"""Measurement-grid kernel for the classical-correlation optimizer.
 
 Evaluating the measured-qubit objective on a dense Bloch-angle grid is
 the hot loop of the package: every grid point costs two conditional
-reduced states plus their eigendecompositions.  The loop is implemented
-twice, once JIT-compiled with numba and once as batched numpy, with the
-backend chosen at import time.  Set the environment variable
-``DQC1LAB_DISABLE_NUMBA=1`` to force the pure-numpy path; the numpy
-path is also the automatic fallback when numba is unavailable.
+reduced states plus their eigendecompositions, batched in numpy.
 
-Both paths evaluate the same formula: for measurement direction
-(theta, phi) on one qubit of a state given as 2x2 blocks ``B[i, j]``
-with respect to that qubit, the objective is
+For measurement direction (theta, phi) on one qubit of a state given as
+2x2 blocks ``B[i, j]`` with respect to that qubit, the objective is
 
     sum_k p_k * S(A_k / p_k),   A_k = sum_ij conj(v_k[i]) v_k[j] B[i, j]
 
@@ -20,32 +15,28 @@ von Neumann entropy in bits.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _EIG_FLOOR = 1e-12
 _PROB_FLOOR = 1e-12
 
-_DISABLED = os.environ.get("DQC1LAB_DISABLE_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-# the default TBB probe is noisy or broken on some hosts; workqueue is
-# always available, and an explicit NUMBA_THREADING_LAYER still wins
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+# The contraction order of A_k over the operands (conj(v), v, B) is
+# pinned.  The two orders round differently, and the CSV outputs pin the
+# last bit of both: grid values fix the stable argsort order among tied
+# cells, refinement values fix the printed optimum.  numpy's own path
+# search (optimize=True) picks GRID_PATH for 3 or more points and
+# POINT_PATH for 1 or 2, so a searched batch of refinement probes would
+# change bits, and the search costs more than a small call.
+# Outer products conj(v) v first:
+GRID_PATH = ("einsum_path", (0, 1), (0, 1))
+# conj(v) into the blocks first; for real-valued blocks a point's value
+# does not depend on the batch it is evaluated in:
+POINT_PATH = ("einsum_path", (0, 2), (0, 1))
 
 
-def conditional_entropy_grid_numpy(blocks: np.ndarray, thetas: np.ndarray,
-                                   phis: np.ndarray) -> np.ndarray:
-    """Batched-numpy evaluation of the measurement objective."""
+def conditional_entropy_grid(blocks: np.ndarray, thetas: np.ndarray,
+                             phis: np.ndarray, path: tuple = GRID_PATH) -> np.ndarray:
+    """Measurement objective at each (theta, phi) pair, contracted along ``path``."""
     ct = np.cos(thetas / 2)
     st = np.sin(thetas / 2)
     ph = np.exp(1j * phis)
@@ -55,7 +46,7 @@ def conditional_entropy_grid_numpy(blocks: np.ndarray, thetas: np.ndarray,
     total = np.zeros(thetas.size)
     for k in range(2):
         vk = v[k]
-        a = np.einsum("gi,gj,ijrc->grc", vk.conj(), vk, blocks, optimize=True)
+        a = np.einsum("gi,gj,ijrc->grc", vk.conj(), vk, blocks, optimize=path)
         p = np.einsum("grr->g", a).real
         safe = p > _PROB_FLOOR
         normalized = a[safe] / p[safe, None, None]
@@ -64,118 +55,3 @@ def conditional_entropy_grid_numpy(blocks: np.ndarray, thetas: np.ndarray,
         entropy = -(w * np.log2(w)).sum(axis=1)
         total[safe] += p[safe] * entropy
     return total
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_eigenvalues(a):  # pragma: no cover - compiled
-        """Eigenvalues of a small Hermitian matrix by cyclic Jacobi.
-
-        Destroys ``a``; LAPACK-free so the grid loop never pays a
-        per-point library-call overhead.  Converges quadratically; 40
-        sweeps is far beyond what d <= 32 ever needs.
-        """
-        d = a.shape[0]
-        for _ in range(40):
-            off = 0.0
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    off += abs(a[p, q]) ** 2
-            if off < 1e-30:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    r = abs(a[p, q])
-                    if r < 1e-18:
-                        continue
-                    phase = a[p, q] / r
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    tau = (aqq - app) / (2 * r)
-                    if tau >= 0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    a[p, p] = app - t * r
-                    a[q, q] = aqq + t * r
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for k in range(d):
-                        if k != p and k != q:
-                            akp = a[k, p]
-                            akq = a[k, q]
-                            a[k, p] = c * akp - s * np.conj(phase) * akq
-                            a[k, q] = s * phase * akp + c * akq
-                            a[p, k] = np.conj(a[k, p])
-                            a[q, k] = np.conj(a[k, q])
-        w = np.empty(d, dtype=np.float64)
-        for k in range(d):
-            w[k] = a[k, k].real
-        return w
-
-    @njit(cache=True, parallel=True)
-    def _conditional_entropy_grid_jit(blocks, thetas, phis):  # pragma: no cover - compiled
-        d = blocks.shape[2]
-        out = np.empty(thetas.size, dtype=np.float64)
-        for g in prange(thetas.size):
-            ct = np.cos(thetas[g] / 2)
-            st = np.sin(thetas[g] / 2)
-            ph = np.exp(1j * phis[g])
-            total = 0.0
-            a = np.empty((d, d), dtype=np.complex128)
-            for k in range(2):
-                if k == 0:
-                    v0 = ct + 0j
-                    v1 = st * ph
-                else:
-                    v0 = st + 0j
-                    v1 = -ct * ph
-                c00 = np.conj(v0) * v0
-                c01 = np.conj(v0) * v1
-                c10 = np.conj(v1) * v0
-                c11 = np.conj(v1) * v1
-                for r in range(d):
-                    for c in range(d):
-                        a[r, c] = (c00 * blocks[0, 0, r, c]
-                                   + c01 * blocks[0, 1, r, c]
-                                   + c10 * blocks[1, 0, r, c]
-                                   + c11 * blocks[1, 1, r, c])
-                p = 0.0
-                for r in range(d):
-                    p += a[r, r].real
-                if p > _PROB_FLOOR:
-                    w = _jacobi_eigenvalues(a)
-                    s = 0.0
-                    for x in w:
-                        x /= p
-                        if x > _EIG_FLOOR:
-                            s -= x * np.log2(x)
-                    total += p * s
-            out[g] = total
-        return out
-
-    def conditional_entropy_grid_numba(blocks: np.ndarray, thetas: np.ndarray,
-                                       phis: np.ndarray) -> np.ndarray:
-        """JIT-compiled evaluation of the measurement objective."""
-        return _conditional_entropy_grid_jit(
-            np.ascontiguousarray(blocks),
-            np.ascontiguousarray(thetas, dtype=np.float64),
-            np.ascontiguousarray(phis, dtype=np.float64),
-        )
-
-else:
-    conditional_entropy_grid_numba = None
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if (_HAVE_NUMBA and not _DISABLED) else "numpy"
-
-
-if active_backend() == "numba":
-    conditional_entropy_grid = conditional_entropy_grid_numba
-else:
-    conditional_entropy_grid = conditional_entropy_grid_numpy

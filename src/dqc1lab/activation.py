@@ -50,7 +50,7 @@ class AdversaryStrategy:
             u = _as_complex_matrix(u)
             if u.shape != (2, 2):
                 raise ValueError("strategy unitaries must be 2x2")
-            if np.abs(u.conj().T @ u - np.eye(2)).max() > UNITARY_TOL:
+            if not np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL:
                 raise ValueError("strategy unitary fails unitarity within 1e-12")
             u.setflags(write=False)
             checked.append(u)

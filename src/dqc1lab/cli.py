@@ -288,6 +288,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; request less work (for example fewer --shots)",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

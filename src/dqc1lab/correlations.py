@@ -137,23 +137,28 @@ def conditional_entropy(rho: DensityMatrix, measured_qubit: int,
     return total
 
 
-def _refine(blocks: np.ndarray, theta: float, phi: float, step_theta: float,
-            step_phi: float, tol: float) -> tuple[float, float, float]:
-    """Deterministic coordinate-shrinking descent of the grid objective."""
+def _descent(theta: float, phi: float, step_theta: float, step_phi: float,
+             tol: float):
+    """Coordinate-shrinking descent of one candidate, as a coroutine.
 
-    def evaluate(t, p):
-        t = min(max(t, 0.0), np.pi)
-        p = p % (2 * np.pi)
-        val = _kernels.conditional_entropy_grid(
-            blocks, np.array([t]), np.array([p]))[0]
-        return val, t, p
+    Yields each probe (theta, phi) and receives its objective value;
+    returns (value, theta, phi) of the best probe.  Probes go +theta,
+    -theta, +phi, -phi in turn, a probe is accepted when it improves on
+    the best by more than ``tol * 1e-3``, and both steps halve after a
+    round with no accepted probe until both fall to 1e-10.
+    """
 
-    best, theta, phi = evaluate(theta, phi)
+    def clamp(t, p):
+        return min(max(t, 0.0), np.pi), p % (2 * np.pi)
+
+    theta, phi = clamp(theta, phi)
+    best = yield theta, phi
     st, sp = step_theta, step_phi
     while st > 1e-10 or sp > 1e-10:
         improved = False
         for dt, dp in ((st, 0.0), (-st, 0.0), (0.0, sp), (0.0, -sp)):
-            val, t, p = evaluate(theta + dt, phi + dp)
+            t, p = clamp(theta + dt, phi + dp)
+            val = yield t, p
             if val < best - tol * 1e-3:
                 best, theta, phi = val, t, p
                 improved = True
@@ -161,6 +166,34 @@ def _refine(blocks: np.ndarray, theta: float, phi: float, step_theta: float,
             st /= 2
             sp /= 2
     return best, theta, phi
+
+
+def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
+            step_theta: float, step_phi: float,
+            tol: float) -> list[tuple[float, float, float]]:
+    """Refine every start point by coordinate-shrinking descent, in lock-step.
+
+    Each candidate follows exactly the path it would follow alone; one
+    kernel call per step evaluates the next probe of every candidate
+    still descending.  Returns (value, theta, phi) per start point.
+    """
+    walks = [_descent(t, p, step_theta, step_phi, tol) for t, p in zip(thetas, phis)]
+    probes = [next(w) for w in walks]
+    results: list = [None] * len(walks)
+    active = list(range(len(walks)))
+    while active:
+        values = _kernels.conditional_entropy_grid(
+            blocks, np.array([probes[i][0] for i in active]),
+            np.array([probes[i][1] for i in active]), path=_kernels.POINT_PATH)
+        still = []
+        for i, val in zip(active, values):
+            try:
+                probes[i] = walks[i].send(val)
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        active = still
+    return results
 
 
 def classical_correlation(rho: DensityMatrix, measured_qubit: int,
@@ -172,9 +205,10 @@ def classical_correlation(rho: DensityMatrix, measured_qubit: int,
     Maximizes S(unmeasured) - sum_k p_k S(rho_k) over rank-1 projective
     measurements of one qubit: a dense theta x phi grid (default 64x128)
     seeds coordinate-shrinking refinement from the 5 best cells, down to
-    1e-7 in the objective.  The result is a certified lower bound on the
-    supremum; ties in the optimum location break toward the smallest
-    (theta, phi) pair.
+    1e-7 in the objective.  The 5 candidates are refined in lock-step,
+    one kernel call per step, each along the same path it would take
+    alone.  The result is a certified lower bound on the supremum; ties
+    in the optimum location break toward the smallest (theta, phi) pair.
     """
     n = rho.num_qubits
     if n < 2:
@@ -192,11 +226,8 @@ def classical_correlation(rho: DensityMatrix, measured_qubit: int,
     order = np.argsort(values, kind="stable")[:5]
     step_t = np.pi / (n_theta - 1)
     step_p = 2 * np.pi / n_phi
-    candidates = []
-    for idx in order:
-        val, t, p = _refine(blocks, tg.ravel()[idx], pg.ravel()[idx],
-                            step_t, step_p, refine_tol)
-        candidates.append((val, t, p))
+    candidates = _refine(blocks, tg.ravel()[order], pg.ravel()[order],
+                         step_t, step_p, refine_tol)
     best_val = min(c[0] for c in candidates)
     # lexicographic tie-break among refined optima within the objective tolerance
     tied = sorted((t, p) for val, t, p in candidates if val <= best_val + refine_tol)

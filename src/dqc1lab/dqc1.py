@@ -60,10 +60,10 @@ class UnitaryBlockSpec:
         r1 = np.abs(a.conj().T @ a + d.conj().T @ d - eye).max()
         r2 = np.abs(b.conj().T @ b + c.conj().T @ c - eye).max()
         r3 = np.abs(a.conj().T @ c + d.conj().T @ b).max()
-        return float(max(r1, r2, r3))
+        return float(np.max([r1, r2, r3]))
 
     def validate(self) -> None:
-        if self.unitarity_defect() > UNITARITY_TOL:
+        if not self.unitarity_defect() <= UNITARITY_TOL:
             raise ValueError("block spec does not satisfy the unitarity conditions")
 
 
@@ -131,7 +131,7 @@ def build_un(spec: UnitaryBlockSpec, n: int, max_register: int = DEFAULT_MAX_REG
         [np.kron(xs, spec.d1), np.kron(eye, spec.b1)],
     ])
     defect = np.abs(u.conj().T @ u - np.eye(2**n)).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise ValueError(f"assembled matrix is not unitary (defect {defect:.2e})")
     return u
 
@@ -141,7 +141,7 @@ def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
     u = _as_complex_matrix(u)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > UNITARITY_TOL:
+    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= UNITARITY_TOL:
         raise ValueError("u is not unitary within 1e-12")
     dim = u.shape[0]
     n = int(round(np.log2(dim)))

@@ -53,6 +53,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix dim {m.shape[0]} does not match {self.num_qubits} qubits"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         if hermiticity_defect(m) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dqc1lab import cli
 from dqc1lab.cli import main
 
 KNOWN_DISCREPANT_CHECKS = {
@@ -94,6 +96,23 @@ def test_sweep_is_byte_stable(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "\r" not in first
+
+
+# SHA-256 of the seed-0 discord sweeps as first recorded; the optimizer
+# must reproduce these bytes exactly
+DISCORD_SWEEP_DIGESTS = {
+    "discord": "ae79793929e9fd67c5da051c839089b382907298b7fe5b28dd02729e2bdba326",
+    "discord-register": "36a1750a377502426963bb426cae5f0f35f792d57a83a5b6ff9b334e56883e39",
+}
+
+
+@pytest.mark.parametrize("quantity", DISCORD_SWEEP_DIGESTS)
+def test_discord_sweep_bytes_match_recorded_digest(quantity, capsys):
+    code = main(["sweep", "--quantity", quantity, "--start", "0.084",
+                 "--end", "0.984", "--steps", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DISCORD_SWEEP_DIGESTS[quantity]
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -195,6 +214,18 @@ def test_trace_estimate_text_mode(capsys):
 def test_trace_estimate_rejects_bad_register(capsys):
     assert main(["trace-estimate", "--n", "7", "--alpha", "0.5"]) == 2
     assert main(["trace-estimate", "--n", "2", "--alpha", "1.5"]) == 2
+
+
+def test_trace_estimate_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sample_trace_estimate", exhausted)
+    code = main(["trace-estimate", "--n", "2", "--alpha", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
 
 
 def test_separability_command(capsys):

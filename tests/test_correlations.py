@@ -4,7 +4,7 @@ from conftest import random_density_matrix, random_product_state, random_unitary
 
 import dqc1lab as d
 from dqc1lab import _kernels
-from dqc1lab.correlations import _measured_qubit_blocks
+from dqc1lab.correlations import REFINE_TOL, _measured_qubit_blocks, _refine
 from dqc1lab.dqc1 import PAULI_X
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
@@ -180,17 +180,115 @@ def test_grid_kernel_agrees_with_projector_route():
                 assert abs(full - g) < 1e-11
 
 
-@pytest.mark.skipif(_kernels.conditional_entropy_grid_numba is None,
-                    reason="numba unavailable")
-def test_numba_and_numpy_kernels_agree():
-    rng = np.random.default_rng(39)
-    rho = random_density_matrix(rng, 3)
+LOCKSTEP_CASES = [(a, q) for a in (0.1, 0.5, 0.9) for q in (0, 1, 2)]
+
+
+def grid_start_cells(blocks, grid=(64, 128)):
+    """The 5 best grid cells and the grid steps, as classical_correlation seeds them."""
+    n_theta, n_phi = grid
+    tg, pg = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
+                         np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False),
+                         indexing="ij")
+    values = _kernels.conditional_entropy_grid(blocks, tg.ravel(), pg.ravel())
+    order = np.argsort(values, kind="stable")[:5]
+    return tg.ravel()[order], pg.ravel()[order], np.pi / (n_theta - 1), 2 * np.pi / n_phi
+
+
+def sequential_refine(blocks, theta, phi, step_theta, step_phi, tol):
+    """Reference descent of one candidate, one kernel call per probe.
+
+    Returns ((value, theta, phi), number of kernel calls).
+    """
+    calls = 0
+
+    def evaluate(t, p):
+        nonlocal calls
+        calls += 1
+        t = min(max(t, 0.0), np.pi)
+        p = p % (2 * np.pi)
+        val = _kernels.conditional_entropy_grid(
+            blocks, np.array([t]), np.array([p]), path=_kernels.POINT_PATH)[0]
+        return val, t, p
+
+    best, theta, phi = evaluate(theta, phi)
+    st, sp = step_theta, step_phi
+    while st > 1e-10 or sp > 1e-10:
+        improved = False
+        for dt, dp in ((st, 0.0), (-st, 0.0), (0.0, sp), (0.0, -sp)):
+            val, t, p = evaluate(theta + dt, phi + dp)
+            if val < best - tol * 1e-3:
+                best, theta, phi = val, t, p
+                improved = True
+        if not improved:
+            st /= 2
+            sp /= 2
+    return (best, theta, phi), calls
+
+
+def tie_break(candidates, tol):
+    best = min(c[0] for c in candidates)
+    return sorted((t, p) for val, t, p in candidates if val <= best + tol)[0]
+
+
+@pytest.mark.parametrize("alpha,qubit", LOCKSTEP_CASES)
+def test_point_path_is_batch_invariant(alpha, qubit):
+    # lock-step refinement evaluates up to 5 probes per call, so each
+    # probe's value must not depend on what else is in the batch
+    blocks = _measured_qubit_blocks(d.rho3(alpha).state, qubit)
+    rng = np.random.default_rng(47)
+    thetas = rng.uniform(0, np.pi, 5)
+    phis = rng.uniform(0, 2 * np.pi, 5)
+    batch = _kernels.conditional_entropy_grid(blocks, thetas, phis,
+                                              path=_kernels.POINT_PATH)
+    alone = [_kernels.conditional_entropy_grid(blocks, thetas[i:i + 1], phis[i:i + 1],
+                                               path=_kernels.POINT_PATH)[0]
+             for i in range(5)]
+    assert np.array_equal(batch, alone)
+
+
+@pytest.mark.parametrize("alpha,qubit", LOCKSTEP_CASES)
+def test_lockstep_refine_reproduces_sequential_descent_bitwise(alpha, qubit):
+    blocks = _measured_qubit_blocks(d.rho3(alpha).state, qubit)
+    thetas, phis, st, sp = grid_start_cells(blocks)
+    got = _refine(blocks, thetas, phis, st, sp, REFINE_TOL)
+    want = [sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[0]
+            for t, p in zip(thetas, phis)]
+    assert got == want
+
+
+def test_lockstep_refine_matches_sequential_descent_on_random_states():
+    rng = np.random.default_rng(48)
+    for n in (2, 3, 4):
+        rho = random_density_matrix(rng, n)
+        for q in range(n):
+            blocks = _measured_qubit_blocks(rho, q)
+            thetas, phis, st, sp = grid_start_cells(blocks, grid=(16, 32))
+            got = _refine(blocks, thetas, phis, st, sp, REFINE_TOL)
+            want = [sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[0]
+                    for t, p in zip(thetas, phis)]
+            for g, w in zip(got, want):
+                assert abs(g[0] - w[0]) < 1e-12
+            assert tie_break(got, REFINE_TOL) == tie_break(want, REFINE_TOL)
+
+
+def test_classical_correlation_makes_one_kernel_call_per_lockstep_step(monkeypatch):
+    rho = d.rho3(0.5).state
     blocks = _measured_qubit_blocks(rho, 1)
-    thetas = rng.uniform(0, np.pi, 200)
-    phis = rng.uniform(0, 2 * np.pi, 200)
-    a = _kernels.conditional_entropy_grid_numba(blocks, thetas, phis)
-    b = _kernels.conditional_entropy_grid_numpy(blocks, thetas, phis)
-    assert np.abs(a - b).max() < 1e-12
+    thetas, phis, st, sp = grid_start_cells(blocks)
+    longest = max(sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[1]
+                  for t, p in zip(thetas, phis))
+    calls = []
+    kernel = _kernels.conditional_entropy_grid
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "conditional_entropy_grid", counting)
+    d.classical_correlation(rho, 1)
+    assert len(calls) == 1 + longest
+    assert calls[0] == 64 * 128
+    assert max(calls[1:]) == 5
 
 
 # --------------------------------------------------------------------------

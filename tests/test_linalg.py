@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
@@ -333,6 +335,34 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalue"):
         d.DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
+
+
+def nan_coupling(m):
+    m = np.array(m, dtype=complex)
+    m[0, 1] = m[1, 0] = np.nan
+    return m
+
+
+# (constructor, message) for each boundary that takes a matrix from outside
+NON_FINITE_INPUTS = {
+    "density-matrix": (lambda: d.DensityMatrix(nan_coupling(np.eye(4) / 4), 2),
+                       "non-finite"),
+    "dqc1-unitary": (lambda: d.build_dqc1_state(nan_coupling(np.eye(4)), 0.5),
+                     "not unitary"),
+    # b1 only: its NaN defect must not hide behind the zero defect of a1
+    "block-spec": (lambda: dataclasses.replace(
+        d.canonical_blocks(), b1=nan_coupling(np.diag([1.0, 0.0]))).validate(),
+        "unitarity"),
+    "adversary-unitary": (lambda: d.AdversaryStrategy.explicit(
+        np.eye(2), nan_coupling(np.eye(2)), np.eye(2)), "unitarity"),
+}
+
+
+@pytest.mark.parametrize("build,message", NON_FINITE_INPUTS.values(),
+                         ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_density_matrix_accepts_product_states():
