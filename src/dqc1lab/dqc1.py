@@ -10,6 +10,7 @@ measuring the clean qubit in the X (Y) basis estimates the real
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .linalg import DensityMatrix, _as_complex_matrix, kron_all
 
 UNITARITY_TOL = 1e-12
 DEFAULT_MAX_REGISTER = 5
+MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -168,8 +170,16 @@ def rho3(alpha: float) -> Dqc1State:
         m[i, j] = alpha
         m[j, i] = alpha
     m /= 8
+    return Dqc1State(alpha=float(alpha), n=2, state=DensityMatrix(m, 3),
+                     unitary=_canonical_u2())
+
+
+@functools.cache
+def _canonical_u2() -> np.ndarray:
+    """build_un(canonical_blocks(), 2), validated once and shared read-only."""
     u = build_un(canonical_blocks(), 2)
-    return Dqc1State(alpha=float(alpha), n=2, state=DensityMatrix(m, 3), unitary=u)
+    u.setflags(write=False)
+    return u
 
 
 def expectation_xy(s: Dqc1State) -> tuple[float, float]:
@@ -186,18 +196,20 @@ def expectation_xy(s: Dqc1State) -> tuple[float, float]:
 def sample_trace_estimate(s: Dqc1State, shots: int, seed: int) -> TraceEstimate:
     """Simulate shot-sampled X and Y measurements of the clean qubit.
 
-    Each axis draws ``shots`` Bernoulli outcomes with p(+1) = (1 + e)/2
-    for exact expectation e, from one PCG64 stream keyed by ``seed``,
-    so results are bit-reproducible per seed.
+    Each axis draws the count k of +1 outcomes among ``shots``
+    Bernoulli trials with p(+1) = (1 + e)/2 for exact expectation e as
+    one binomial variate, so memory does not grow with ``shots``; the
+    sampled mean is (2k - shots)/shots.  Both axes draw from one PCG64
+    stream keyed by ``seed``, so results are bit-reproducible per seed.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     exact_re, exact_im = expectation_xy(s)
     rng = np.random.default_rng(seed)
     means = []
     for exact in (exact_re, exact_im):
-        outcomes = np.where(rng.random(shots) < (1 + exact) / 2, 1.0, -1.0)
-        means.append(float(outcomes.mean()))
+        k = int(rng.binomial(shots, min(max((1 + exact) / 2, 0.0), 1.0)))
+        means.append((2 * k - shots) / shots)
     std_errors = [np.sqrt(max(1 - m * m, 0.0) / shots) for m in means]
     return TraceEstimate(
         exact_re=exact_re,

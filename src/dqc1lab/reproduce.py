@@ -44,9 +44,9 @@ from .linalg import (
 from .separability import (
     SINGLE_QUBIT_CUTS,
     Verdict,
+    decompose_rho3,
     ghz_diagonal_coefficients,
     kay_criterion,
-    omega_state,
 )
 
 CLOSED_FORM_TOL = 1e-9
@@ -121,61 +121,58 @@ def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
     diagonal defect of the given size into the three-qubit state."""
     report = ReproduceReport()
 
-    # partial-transpose spectrum across the register cut, whole alpha family
-    dev = 0.0
-    for a in ALPHA_GRID:
-        spectrum = np.sort(hermitian_eigenvalues(
-            partial_transpose(_rho3_state(a, perturb), RHO3_ENTANGLING_CUT)))
-        dev = max(dev, float(np.abs(spectrum - _pt_spectrum_closed_form(a)).max()))
-    report.add_deviation(
-        "pt-spectrum-family", dev, 1e-10,
-        "sorted PT eigenvalues vs {(1+2a)/8, 1/8 x6, (1-2a)/8} on a 101-point grid")
-
-    # multiplicative negativity closed form and its peak
-    dev = max(
-        abs(multiplicative_negativity(_rho3_state(a, perturb), RHO3_ENTANGLING_CUT)
-            - max(1.0, (2 * a + 3) / 4))
-        for a in ALPHA_GRID)
-    report.add_deviation("mult-negativity-family", dev, closed_form_tol,
-                         "M vs max[1, (2a+3)/4] on the alpha grid")
-    report.add_deviation(
-        "mult-negativity-peak",
-        abs(multiplicative_negativity(_rho3_state(1.0, perturb), RHO3_ENTANGLING_CUT) - 1.25),
-        1e-12, "M at alpha=1 equals 5/4")
-
-    # PPT region boundary at alpha = 1/2
-    mistakes = 0
+    # one pass over the alpha grid: each state and convex split is built
+    # (and admitted as a DensityMatrix) once and serves every grid check
+    pt_dev = neg_dev = split_dev = pattern_dev = lam5_dev = 0.0
+    ppt_mistakes = verdict_mistakes = 0
     for a in ALPHA_GRID:
         state = _rho3_state(a, perturb)
+
+        # partial-transpose spectrum across the register cut
+        spectrum = np.sort(hermitian_eigenvalues(
+            partial_transpose(state, RHO3_ENTANGLING_CUT)))
+        pt_dev = max(pt_dev, float(np.abs(spectrum - _pt_spectrum_closed_form(a)).max()))
+
+        # multiplicative negativity closed form
+        negativity = multiplicative_negativity(state, RHO3_ENTANGLING_CUT)
+        neg_dev = max(neg_dev, abs(negativity - max(1.0, (2 * a + 3) / 4)))
+
+        # PPT region boundary at alpha = 1/2
         all_ppt = all(is_ppt(state, cut) for cut in SINGLE_QUBIT_CUTS)
         if a <= 0.5 and not all_ppt:
-            mistakes += 1
+            ppt_mistakes += 1
         if a > 0.5 + 1e-6 and all_ppt:
-            mistakes += 1
-    report.add_deviation("ppt-region", float(mistakes), 0.5,
-                         "PPT under all three cuts iff alpha <= 1/2")
+            ppt_mistakes += 1
 
-    # convex split into the GHZ-diagonal part and the product mixture
-    from .separability import decompose_rho3
-    dev = 0.0
-    for a in ALPHA_GRID:
+        # convex split into the GHZ-diagonal part and the product mixture
         w1, omega, w2, eta = decompose_rho3(a)
         lhs = w1 * omega.matrix + w2 * eta.matrix
-        dev = max(dev, float(np.abs(lhs - _rho3_state(a, perturb).matrix).max()))
-    report.add_deviation("convex-split-identity", dev, 1e-12,
-                         "(1-a/2) omega(a) + (a/2) eta reconstructs the state")
+        split_dev = max(split_dev, float(np.abs(lhs - state.matrix).max()))
 
-    # stabilizer coefficients of the GHZ-diagonal part
-    pattern_dev = 0.0
-    lam5_dev = 0.0
-    verdict_mistakes = 0
-    for a in ALPHA_GRID:
-        lams = ghz_diagonal_coefficients(omega_state(a))
+        # stabilizer coefficients of the GHZ-diagonal part
+        if a <= 0.5:
+            kay = kay_criterion(omega)
+            lams = kay.certificate["lambdas"]
+            if kay.status is not Verdict.FULLY_SEPARABLE:
+                verdict_mistakes += 1
+        else:
+            lams = ghz_diagonal_coefficients(omega)
         pattern_dev = max(pattern_dev, abs(lams[5]), abs(lams[6]),
                           abs(lams[4] + lams[7]), abs(float(np.prod(lams[4:8]))))
         lam5_dev = max(lam5_dev, abs(lams[4] - 2 * a / (2 - a)))
-        if a <= 0.5 and kay_criterion(omega_state(a)).status is not Verdict.FULLY_SEPARABLE:
-            verdict_mistakes += 1
+
+    report.add_deviation(
+        "pt-spectrum-family", pt_dev, 1e-10,
+        "sorted PT eigenvalues vs {(1+2a)/8, 1/8 x6, (1-2a)/8} on a 101-point grid")
+    report.add_deviation("mult-negativity-family", neg_dev, closed_form_tol,
+                         "M vs max[1, (2a+3)/4] on the alpha grid")
+    # the last grid point, whose negativity the loop leaves behind, is alpha = 1 exactly
+    report.add_deviation("mult-negativity-peak", abs(negativity - 1.25), 1e-12,
+                         "M at alpha=1 equals 5/4")
+    report.add_deviation("ppt-region", float(ppt_mistakes), 0.5,
+                         "PPT under all three cuts iff alpha <= 1/2")
+    report.add_deviation("convex-split-identity", split_dev, 1e-12,
+                         "(1-a/2) omega(a) + (a/2) eta reconstructs the state")
     report.add_deviation(
         "ghz-coefficient-pattern", pattern_dev, 1e-12,
         "lambda6 = lambda7 = 0, lambda5 = -lambda8, odd-weight product = 0")
@@ -195,17 +192,18 @@ def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
     hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     eye2 = np.eye(2, dtype=np.complex128)
     best_adversary = AdversaryStrategy.explicit(hadamard, eye2, eye2)
+    coarse = [(a, _rho3_state(a, perturb)) for a in np.linspace(0.0, 1.0, 11)]
     dev = max(
-        abs(activate(_rho3_state(a, perturb), best_adversary,
-                     alpha=a).multiplicative_negativity - (8 + 4 * a) / 8)
-        for a in np.linspace(0.0, 1.0, 11))
+        abs(activate(state, best_adversary, alpha=a).multiplicative_negativity
+            - (8 + 4 * a) / 8)
+        for a, state in coarse)
     report.add_deviation(
         "activation-best-adversary-closed-form", dev, closed_form_tol,
         "Hadamard on the clean qubit attains the adversarial floor (8+4a)/8")
     dev = max(
-        abs(activate(_rho3_state(a, perturb), AdversaryStrategy.identity(),
+        abs(activate(state, AdversaryStrategy.identity(),
                      alpha=a).multiplicative_negativity - (8 + 3 * a) / 8)
-        for a in np.linspace(0.0, 1.0, 11))
+        for a, state in coarse)
     report.add_deviation(
         "activation-identity-closed-form", dev, closed_form_tol,
         "published closed form (8+3a)/8; the protocol gives (8+8a)/8 for the "
@@ -213,16 +211,15 @@ def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
         "adversary, so this check records the discrepancy and fails")
 
     # discord across the clean-qubit cut and on a register qubit
-    min_discord = min(
-        discord(_rho3_state(a, perturb), 0).discord for a in (0.1, 0.25, 0.5))
+    discord_states = [_rho3_state(a, perturb) for a in (0.1, 0.25, 0.5)]
+    min_discord = min(discord(state, 0).discord for state in discord_states)
     report.add_threshold(
         "discord-positive-range", min_discord, 1e-4,
         "published positivity claim for measurement on the clean qubit; the "
         "state is exactly classical on that side (its clean-qubit X basis "
         "flags an orthogonal register ensemble), so discord is 0 and this "
         "check records the discrepancy and fails")
-    min_discord = min(
-        discord(_rho3_state(a, perturb), 1).discord for a in (0.1, 0.25, 0.5))
+    min_discord = min(discord(state, 1).discord for state in discord_states)
     report.add_threshold(
         "discord-register-qubit-positive", min_discord, 1e-4,
         "discord measured on a register qubit is strictly positive, the "

@@ -11,6 +11,7 @@ stabilizer coefficients have non-positive product).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,10 +58,21 @@ class NonGhzDiagonalError(ValueError):
 
 
 def pauli_string_matrix(factors: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis named by a string over IXYZ."""
-    if len(factors) != 3 or any(c not in _PAULI for c in factors):
+    """Tensor product of single-qubit Paulis named by a string over IXYZ.
+
+    The 64 matrices are built once each and shared read-only.
+    """
+    if (not isinstance(factors, str) or len(factors) != 3
+            or any(c not in _PAULI for c in factors)):
         raise ValueError(f"expected a length-3 string over IXYZ, got {factors!r}")
-    return kron_all(*[_PAULI[c] for c in factors])
+    return _pauli_string_matrix(factors)
+
+
+@functools.cache
+def _pauli_string_matrix(factors: str) -> np.ndarray:
+    m = kron_all(*[_PAULI[c] for c in factors])
+    m.setflags(write=False)
+    return m
 
 
 def pauli_expectation(rho: DensityMatrix, factors: str) -> float:
@@ -135,8 +147,9 @@ def omega_state(alpha: float) -> DensityMatrix:
     return DensityMatrix(m / (8 - 4 * alpha), 3)
 
 
+@functools.cache
 def eta_state() -> DensityMatrix:
-    """Even mixture of the product vectors |+>|0>|1> and |+>|1>|0>."""
+    """Even mixture of the product vectors |+>|0>|1> and |+>|1>|0>; built once."""
     plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
     zero = np.array([1, 0], dtype=np.complex128)
     one = np.array([0, 1], dtype=np.complex128)

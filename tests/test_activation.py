@@ -3,6 +3,7 @@ import pytest
 from conftest import oracle_partial_transpose, random_density_matrix
 
 import dqc1lab as d
+from dqc1lab.activation import _copy_to_ancillas
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -126,6 +127,27 @@ def test_intermediate_states_stay_valid():
         g = d.cnot(i, i + 3, 6)
         big = g @ big @ g.conj().T
         d.DensityMatrix((big + big.conj().T) / 2, 6)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+def test_copy_permutation_matches_dense_cnot_sandwich_bitwise(alpha):
+    # the identity and the 25 seeded strategies of the reproduce battery
+    pool = [r.strategy for r in d.activation_sweep([alpha], strategies=26, seed=2024)]
+    rho = d.rho3(alpha).state
+    anc = np.zeros((8, 8), dtype=complex)
+    anc[0, 0] = 1.0
+    eye = np.eye(2, dtype=complex)
+    for strategy in pool:
+        v = d.kron_all(*strategy.unitaries, eye, eye, eye)
+        big = v @ np.kron(rho.matrix, anc) @ v.conj().T
+        dense = big
+        for i in range(3):
+            g = d.cnot(i, i + 3, 6)
+            dense = g @ dense @ g.conj().T
+        assert np.array_equal(_copy_to_ancillas(big), dense)
+        dense = (dense + dense.conj().T) / 2
+        expected = d.trace_norm(d.partial_transpose(d.DensityMatrix(dense, 6), (3, 4, 5)))
+        assert d.activate(rho, strategy, alpha=alpha).multiplicative_negativity == expected
 
 
 def test_ancilla_relabeling_invariance():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import subprocess
@@ -98,21 +99,67 @@ def test_sweep_is_byte_stable(capsys):
     assert "\r" not in first
 
 
-# SHA-256 of the seed-0 discord sweeps as first recorded; the optimizer
+# SHA-256 of the seed-0 sweeps as first recorded (the digests of
+# perfbench/csv_digests.json); the optimizer and the constant operators
 # must reproduce these bytes exactly
-DISCORD_SWEEP_DIGESTS = {
-    "discord": "ae79793929e9fd67c5da051c839089b382907298b7fe5b28dd02729e2bdba326",
-    "discord-register": "36a1750a377502426963bb426cae5f0f35f792d57a83a5b6ff9b334e56883e39",
+DISCORD_GRID = ["--start", "0.084", "--end", "0.984", "--steps", "5"]
+SWEEP_DIGESTS = {
+    "discord": (DISCORD_GRID,
+                "ae79793929e9fd67c5da051c839089b382907298b7fe5b28dd02729e2bdba326"),
+    "discord-register": (DISCORD_GRID,
+                         "36a1750a377502426963bb426cae5f0f35f792d57a83a5b6ff9b334e56883e39"),
+    "mult-negativity": ([],
+                        "89b04741c1dc869082ba1c436812dfffbef6d16787124e8a228ce36c9395126c"),
+    "pt-spectrum-min": ([],
+                        "758397f09b8416f1fd71f5e9c0c7c8b5eaff5a40af4455ab61a25d67f6a6f595"),
+    "separability": ([],
+                     "9600a63eede2ce05fb74c01ed7cc9f20d00b14fdde9b617b24a35b068d0be057"),
+    "activated-negativity": ([],
+                             "30d523f7af0cf852a3be64a29e4582d2b77ebd3950117032c106499f032833fc"),
 }
 
 
-@pytest.mark.parametrize("quantity", DISCORD_SWEEP_DIGESTS)
+@pytest.mark.parametrize("quantity", SWEEP_DIGESTS)
 def test_discord_sweep_bytes_match_recorded_digest(quantity, capsys):
-    code = main(["sweep", "--quantity", quantity, "--start", "0.084",
-                 "--end", "0.984", "--steps", "5"])
+    extra, digest = SWEEP_DIGESTS[quantity]
+    code = main(["sweep", "--quantity", quantity, *extra])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == DISCORD_SWEEP_DIGESTS[quantity]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `reproduce --json` without the sampling check's z-score,
+# recorded before the shot sampler drew binomial counts; every other
+# byte of the battery is pinned
+REPRODUCE_DIGEST = "6cf0f12c437d99a5608b8793645c38a11afecd96662b12ddd6d75743a4fa1563"
+
+
+def test_reproduce_json_matches_recorded_digest(reproduce_json):
+    code, payload = reproduce_json
+    payload = copy.deepcopy(payload)
+    sampling = [c for c in payload["checks"] if c["name"] == "trace-estimator-sampling"]
+    assert len(sampling) == 1 and sampling[0]["passed"]
+    del sampling[0]["computed"]
+    text = json.dumps(payload, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPRODUCE_DIGEST
+
+
+def test_separability_sweep_builds_canonical_unitary_once(monkeypatch, capsys):
+    from dqc1lab import dqc1
+
+    calls = []
+    real = dqc1.build_un
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dqc1, "build_un", counting)
+    dqc1._canonical_u2.cache_clear()
+    assert main(["sweep", "--quantity", "separability", "--steps", "101"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+    # the cache fills through build_un, so its unitarity check runs once
+    assert len(calls) == 1
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -214,6 +261,14 @@ def test_trace_estimate_text_mode(capsys):
 def test_trace_estimate_rejects_bad_register(capsys):
     assert main(["trace-estimate", "--n", "7", "--alpha", "0.5"]) == 2
     assert main(["trace-estimate", "--n", "2", "--alpha", "1.5"]) == 2
+
+
+def test_trace_estimate_rejects_shots_beyond_the_sampler(capsys):
+    assert main(["trace-estimate", "--n", "2", "--alpha", "1",
+                 "--shots", str(2**63)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shots must lie in")
+    assert err.count("\n") == 1
 
 
 def test_trace_estimate_out_of_memory_exits_2(monkeypatch, capsys):

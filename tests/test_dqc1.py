@@ -143,6 +143,16 @@ def test_rho3_equals_constructor_route():
         assert np.array_equal(d.rho3(alpha).state.matrix, via_blocks)
 
 
+def test_rho3_shares_one_read_only_canonical_unitary():
+    fresh = d.build_un(d.canonical_blocks(), 2)
+    u = d.rho3(0.3).unitary
+    assert u is d.rho3(0.9).unitary
+    assert np.array_equal(u, fresh)
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+    assert np.array_equal(u, fresh)
+
+
 def test_rho3_rejects_bad_alpha():
     with pytest.raises(ValueError, match="alpha"):
         d.rho3(1.5)
@@ -219,6 +229,38 @@ def test_sampling_error_shrinks_with_shots():
                 for k in range(20)]
         mean_abs_err.append(np.mean(errs))
     assert mean_abs_err[0] > mean_abs_err[1] > mean_abs_err[2]
+
+
+def test_sampling_draws_one_binomial_count_per_axis():
+    # the stream is pinned: one binomial count of +1 outcomes per axis,
+    # X first, from one PCG64 generator keyed by the seed
+    s = d.rho3(0.8)
+    shots = 12_345
+    ex, ey = d.expectation_xy(s)
+    rng = np.random.default_rng(17)
+    kx = rng.binomial(shots, (1 + ex) / 2)
+    ky = rng.binomial(shots, (1 + ey) / 2)
+    est = d.sample_trace_estimate(s, shots, seed=17)
+    assert est.sampled_re == (2 * kx - shots) / shots
+    assert est.sampled_im == (2 * ky - shots) / shots
+
+
+def test_sampling_memory_does_not_grow_with_shots():
+    # 1e12 shots as individual outcomes would need terabytes
+    s = d.rho3(1.0)
+    est = d.sample_trace_estimate(s, 10**12, seed=3)
+    assert abs(est.sampled_re - est.exact_re) <= 6 * est.std_error
+    assert abs(est.sampled_im - est.exact_im) <= 6 * est.std_error
+    assert est.std_error < 1e-6
+
+
+def test_sampling_clamps_the_outcome_probability():
+    # a unitary admitted at the 1e-12 tolerance can put the exact X
+    # expectation just above 1; every X outcome is then +1
+    s = d.build_dqc1_state((1 + 4e-13) * np.eye(4), 1.0)
+    assert d.expectation_xy(s)[0] > 1.0
+    est = d.sample_trace_estimate(s, 1000, seed=5)
+    assert est.sampled_re == 1.0
 
 
 def test_sampling_rejects_zero_shots():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import random_density_matrix
@@ -37,6 +39,24 @@ def test_pauli_string_matrix_rejects_bad_input():
         d.pauli_string_matrix("XX")
     with pytest.raises(ValueError):
         d.pauli_string_matrix("XQZ")
+    # validation runs before the cache lookup, so an unhashable argument
+    # reports a ValueError rather than a TypeError
+    for bad in (["X", "X", "X"], ("X", "X", "X"), b"XXX", None, 3):
+        with pytest.raises(ValueError, match="length-3 string"):
+            d.pauli_string_matrix(bad)
+
+
+def test_cached_pauli_strings_match_kron_oracle():
+    paulis = {"I": d.dqc1.PAULI_I, "X": d.dqc1.PAULI_X,
+              "Y": d.dqc1.PAULI_Y, "Z": d.dqc1.PAULI_Z}
+    for letters in itertools.product("IXYZ", repeat=3):
+        s = "".join(letters)
+        p = d.pauli_string_matrix(s)
+        assert np.array_equal(p, d.kron_all(*[paulis[c] for c in s]))
+        assert p is d.pauli_string_matrix(s)
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+    assert np.array_equal(d.pauli_string_matrix("XXX"), np.fliplr(np.eye(8)))
 
 
 def test_identity_expectation_is_one():
@@ -195,6 +215,13 @@ def test_eta_is_a_mixture_of_product_vectors():
         np.outer(v, v.conj()) for v in (np.kron(np.kron(plus, zero), one),
                                         np.kron(np.kron(plus, one), zero)))
     assert np.abs(reconstructed - eta.matrix).max() < 1e-15
+
+
+def test_eta_state_is_built_once_and_read_only():
+    eta = d.eta_state()
+    assert eta is d.eta_state()
+    with pytest.raises(ValueError):
+        eta.matrix[0, 0] = 1.0
 
 
 def test_omega_ppt_threshold_scan():
