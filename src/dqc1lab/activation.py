@@ -11,7 +11,7 @@ input state, i.e. when the state carries no non-classical correlations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -1,7 +1,7 @@
 """Command-line front end: reproduction battery, alpha sweeps, estimators.
 
 Exit codes: 0 success, 1 at least one reproduction check failed,
-2 usage or numeric error.
+2 usage, numeric or file error.
 """
 
 from __future__ import annotations
@@ -9,23 +9,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .activation import AdversaryStrategy, activate, activation_sweep
-from .correlations import classical_correlation, discord, multiplicative_negativity
+from .activation import activation_sweep
 from .dqc1 import (
-    RHO3_ENTANGLING_CUT,
     build_dqc1_state,
     build_un,
     canonical_blocks,
     expectation_xy,
-    rho3,
     sample_trace_estimate,
 )
-from .linalg import hermitian_eigenvalues, partial_transpose
-from .reproduce import CLOSED_FORM_TOL, run_reproduce
+from .reproduce import CLOSED_FORM_TOL, QUANTITIES, run_reproduce
 from .separability import Verdict, full_separability_verdict
 
 
@@ -33,43 +29,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-SWEEP_QUANTITIES: dict[str, tuple[Callable[[float], float], Optional[Callable[[float], float]]]] = {
-    "mult-negativity": (
-        lambda a: multiplicative_negativity(rho3(a).state, RHO3_ENTANGLING_CUT),
-        lambda a: max(1.0, (2 * a + 3) / 4),
-    ),
-    "pt-spectrum-min": (
-        lambda a: float(hermitian_eigenvalues(
-            partial_transpose(rho3(a).state, RHO3_ENTANGLING_CUT)).min()),
-        lambda a: (1 - 2 * a) / 8,
-    ),
-    "discord": (lambda a: discord(rho3(a).state, 0).discord, None),
-    "discord-register": (
-        lambda a: discord(rho3(a).state, 1).discord,
-        lambda a: ((1 + a) * np.log2(1 + a) + (1 - a) * np.log2(max(1 - a, 1e-300))
-                   if a > 0 else 0.0) / 4,
-    ),
-    "classical-correlation": (
-        lambda a: classical_correlation(rho3(a).state, 0)[0], None),
-    "activated-negativity": (
-        lambda a: activate(rho3(a).state, AdversaryStrategy.identity(),
-                           alpha=a).multiplicative_negativity,
-        lambda a: (8 + 3 * a) / 8,
-    ),
-    "separability": (
-        lambda a: {Verdict.FULLY_SEPARABLE: 1.0, Verdict.NPT_ENTANGLED: 0.0,
-                   Verdict.INCONCLUSIVE: 0.5}[full_separability_verdict(a).status],
-        lambda a: 1.0 if a <= 0.5 else 0.0,
-    ),
-}
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    report = run_reproduce(closed_form_tol=args.tolerance, perturb=args.perturb)
+    report = run_reproduce(perturb=args.perturb)
     if args.json:
         payload = {
             "all_passed": report.all_passed,
-            "closed_form_tolerance": args.tolerance,
+            "closed_form_tolerance": CLOSED_FORM_TOL,
             "checks": [vars(c) for c in report.checks],
         }
         print(json.dumps(payload, indent=2))
@@ -87,9 +52,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.quantity not in SWEEP_QUANTITIES:
+    if args.quantity not in QUANTITIES:
         print(f"unknown quantity {args.quantity!r}; choose from "
-              f"{', '.join(sorted(SWEEP_QUANTITIES))}", file=sys.stderr)
+              f"{', '.join(sorted(QUANTITIES))}", file=sys.stderr)
         return 2
     if not (0 <= args.start <= args.end <= 1):
         print("require 0 <= start <= end <= 1", file=sys.stderr)
@@ -97,7 +62,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         print("steps must be >= 2", file=sys.stderr)
         return 2
-    value_fn, closed_fn = SWEEP_QUANTITIES[args.quantity]
+    value_fn, closed_fn = QUANTITIES[args.quantity]
     lines = []
     if closed_fn is None:
         lines.append("alpha,quantity,value")
@@ -238,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run every closed-form and property check")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.add_argument("--tolerance", type=float, default=CLOSED_FORM_TOL,
-                   help="closed-form comparison tolerance (default 1e-9)")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="test hook: inject a diagonal defect of this size "
                         "into the three-qubit state")
@@ -247,14 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="CSV sweep of one quantity over alpha")
     p.add_argument("--quantity", required=True,
-                   help=", ".join(sorted(SWEEP_QUANTITIES)))
+                   help=", ".join(sorted(QUANTITIES)))
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved for sampled quantities; part of the "
-                        "byte-stability contract")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("trace-estimate",
@@ -285,7 +245,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -94,21 +94,21 @@ def _check_cut(transposed: Iterable[int], num_qubits: int,
     return cut
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard against runaway dimensions."""
     a = _as_complex_matrix(a)
     b = _as_complex_matrix(b)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
-        raise ValueError(f"kron output dim {out_dim} exceeds maximum {max_dim}")
+    if out_dim > MAX_KRON_DIM:
+        raise ValueError(f"kron output dim {out_dim} exceeds maximum {MAX_KRON_DIM}")
     return np.kron(a, b)
 
 
-def kron_all(*matrices: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def kron_all(*matrices: np.ndarray) -> np.ndarray:
     """Left-to-right Kronecker product of any number of factors."""
     out = np.array([[1.0 + 0.0j]])
     for m in matrices:
-        out = kron(out, m, max_dim=max_dim)
+        out = kron(out, m)
     return out
 
 

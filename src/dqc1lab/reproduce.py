@@ -13,12 +13,12 @@ notes on the failing checks and the README give the derivations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from .activation import AdversaryStrategy, activate, activation_sweep
-from .correlations import discord, is_ppt, multiplicative_negativity
+from .correlations import classical_correlation, discord, is_ppt, multiplicative_negativity
 from .dqc1 import (
     PAULI_X,
     PAULI_Y,
@@ -45,6 +45,7 @@ from .separability import (
     SINGLE_QUBIT_CUTS,
     Verdict,
     decompose_rho3,
+    full_separability_verdict,
     ghz_diagonal_coefficients,
     kay_criterion,
 )
@@ -53,6 +54,39 @@ CLOSED_FORM_TOL = 1e-9
 ALPHA_GRID = np.linspace(0.0, 1.0, 101)
 SAMPLING_SEEDS = (1, 2, 3, 4, 5)
 SAMPLING_SHOTS = 100_000
+
+#: Each swept quantity: name -> (value at alpha, closed form at alpha or
+#: None).  ``dqc1-lab sweep`` prints both; the battery reads its
+#: mult-negativity and activated-negativity closed forms from here.
+QUANTITIES: dict[str, tuple[Callable[[float], float], Callable[[float], float] | None]] = {
+    "mult-negativity": (
+        lambda a: multiplicative_negativity(rho3(a).state, RHO3_ENTANGLING_CUT),
+        lambda a: max(1.0, (2 * a + 3) / 4),
+    ),
+    "pt-spectrum-min": (
+        lambda a: float(hermitian_eigenvalues(
+            partial_transpose(rho3(a).state, RHO3_ENTANGLING_CUT)).min()),
+        lambda a: (1 - 2 * a) / 8,
+    ),
+    "discord": (lambda a: discord(rho3(a).state, 0).discord, None),
+    "discord-register": (
+        lambda a: discord(rho3(a).state, 1).discord,
+        lambda a: ((1 + a) * np.log2(1 + a) + (1 - a) * np.log2(max(1 - a, 1e-300))
+                   if a > 0 else 0.0) / 4,
+    ),
+    "classical-correlation": (
+        lambda a: classical_correlation(rho3(a).state, 0)[0], None),
+    "activated-negativity": (
+        lambda a: activate(rho3(a).state, AdversaryStrategy.identity(),
+                           alpha=a).multiplicative_negativity,
+        lambda a: (8 + 3 * a) / 8,
+    ),
+    "separability": (
+        lambda a: {Verdict.FULLY_SEPARABLE: 1.0, Verdict.NPT_ENTANGLED: 0.0,
+                   Verdict.INCONCLUSIVE: 0.5}[full_separability_verdict(a).status],
+        lambda a: 1.0 if a <= 0.5 else 0.0,
+    ),
+}
 
 
 @dataclass
@@ -109,17 +143,12 @@ def _random_density_matrix(rng: np.random.Generator, num_qubits: int) -> Density
     return DensityMatrix((m + m.conj().T) / 2, num_qubits)
 
 
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
-                  perturb: float = 0.0) -> ReproduceReport:
+def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
     """Run the full battery; ``perturb`` is a test hook that injects a
     diagonal defect of the given size into the three-qubit state."""
     report = ReproduceReport()
+    negativity_closed_form = QUANTITIES["mult-negativity"][1]
+    activation_closed_form = QUANTITIES["activated-negativity"][1]
 
     # one pass over the alpha grid: each state and convex split is built
     # (and admitted as a DensityMatrix) once and serves every grid check
@@ -135,7 +164,7 @@ def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
 
         # multiplicative negativity closed form
         negativity = multiplicative_negativity(state, RHO3_ENTANGLING_CUT)
-        neg_dev = max(neg_dev, abs(negativity - max(1.0, (2 * a + 3) / 4)))
+        neg_dev = max(neg_dev, abs(negativity - negativity_closed_form(a)))
 
         # PPT region boundary at alpha = 1/2
         all_ppt = all(is_ppt(state, cut) for cut in SINGLE_QUBIT_CUTS)
@@ -164,7 +193,7 @@ def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
     report.add_deviation(
         "pt-spectrum-family", pt_dev, 1e-10,
         "sorted PT eigenvalues vs {(1+2a)/8, 1/8 x6, (1-2a)/8} on a 101-point grid")
-    report.add_deviation("mult-negativity-family", neg_dev, closed_form_tol,
+    report.add_deviation("mult-negativity-family", neg_dev, CLOSED_FORM_TOL,
                          "M vs max[1, (2a+3)/4] on the alpha grid")
     # the last grid point, whose negativity the loop leaves behind, is alpha = 1 exactly
     report.add_deviation("mult-negativity-peak", abs(negativity - 1.25), 1e-12,
@@ -198,14 +227,14 @@ def run_reproduce(closed_form_tol: float = CLOSED_FORM_TOL,
             - (8 + 4 * a) / 8)
         for a, state in coarse)
     report.add_deviation(
-        "activation-best-adversary-closed-form", dev, closed_form_tol,
+        "activation-best-adversary-closed-form", dev, CLOSED_FORM_TOL,
         "Hadamard on the clean qubit attains the adversarial floor (8+4a)/8")
     dev = max(
         abs(activate(state, AdversaryStrategy.identity(),
-                     alpha=a).multiplicative_negativity - (8 + 3 * a) / 8)
+                     alpha=a).multiplicative_negativity - activation_closed_form(a))
         for a, state in coarse)
     report.add_deviation(
-        "activation-identity-closed-form", dev, closed_form_tol,
+        "activation-identity-closed-form", dev, CLOSED_FORM_TOL,
         "published closed form (8+3a)/8; the protocol gives (8+8a)/8 for the "
         "identity strategy and at best (8+4a)/8 for any local-unitary "
         "adversary, so this check records the discrepancy and fails")

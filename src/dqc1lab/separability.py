@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .correlations import is_ppt
 from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, rho3
 from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_trace, partial_transpose
 
@@ -175,6 +174,11 @@ def product_vector_purities(state: DensityMatrix) -> list[float]:
     ]
 
 
+@functools.cache
+def _eta_component_purities() -> tuple[float, ...]:
+    return tuple(product_vector_purities(eta_state()))
+
+
 def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
     """Separability status of the three-qubit output state at one alpha.
 
@@ -194,7 +198,7 @@ def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
             "weights": (w1, w2),
             "reconstruction_residual": residual,
             "ghz_part_verdict": kay,
-            "eta_component_purities": product_vector_purities(eta),
+            "eta_component_purities": list(_eta_component_purities()),
         }
         if kay.status is not Verdict.FULLY_SEPARABLE:
             return SeparabilityVerdict(Verdict.INCONCLUSIVE, certificate)

@@ -162,6 +162,63 @@ def test_separability_sweep_builds_canonical_unitary_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_separability_sweep_computes_eta_purities_once(monkeypatch, capsys):
+    from dqc1lab import separability
+
+    calls = []
+    real = separability.product_vector_purities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(separability, "product_vector_purities", counting)
+    separability._eta_component_purities.cache_clear()
+    assert main(["sweep", "--quantity", "separability", "--steps", "101"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+    # 51 of the 101 alphas are <= 1/2 and carry the purities in their certificate
+    assert len(calls) == 1
+
+
+def test_sweep_and_battery_read_one_closed_form(monkeypatch, capsys):
+    from dqc1lab import reproduce
+
+    value_fn, _ = reproduce.QUANTITIES["activated-negativity"]
+    monkeypatch.setitem(reproduce.QUANTITIES, "activated-negativity",
+                        (value_fn, lambda a: 1 + a))
+    assert main(["sweep", "--quantity", "activated-negativity", "--steps", "11"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 11
+    assert all(float(r.split(",")[4]) <= 1e-9 for r in rows)  # abs_error column
+    checks = {c.name: c for c in reproduce.run_reproduce().checks}
+    identity = checks["activation-identity-closed-form"]
+    assert identity.computed <= 1e-9
+    assert identity.passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--tolerance", "inf"],
+    ["sweep", "--quantity", "separability", "--seed", "0"],
+])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_to_missing_directory_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "sweep.csv"
+    code = main(["sweep", "--quantity", "separability", "--steps", "3",
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out_file.parent.exists()
+
+
 def test_sweep_writes_file(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code = main(["sweep", "--quantity", "separability", "--steps", "5",

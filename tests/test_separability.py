@@ -263,6 +263,15 @@ def test_full_separability_certificate_contents():
     assert w1 + w2 == pytest.approx(1.0)
 
 
+def test_each_certificate_gets_its_own_eta_purities():
+    first = d.full_separability_verdict(0.3).certificate["eta_component_purities"]
+    second = d.full_separability_verdict(0.4).certificate["eta_component_purities"]
+    assert first == second == d.separability.product_vector_purities(d.eta_state())
+    first.clear()
+    assert len(second) == 3
+    assert len(d.full_separability_verdict(0.3).certificate["eta_component_purities"]) == 3
+
+
 def test_witness_eigenvalue_matches_pt_spectrum():
     for a in (0.6, 0.75, 1.0):
         verdict = d.full_separability_verdict(a)
