@@ -11,8 +11,10 @@ from .correlations import (
     DiscordResult,
     MeasurementBasis,
     classical_correlation,
+    classical_correlation_many,
     conditional_entropy,
     discord,
+    discord_many,
     is_ppt,
     multiplicative_negativity,
     mutual_information,
@@ -69,8 +71,9 @@ __all__ = [
     "NonGhzDiagonalError", "RHO3_ENTANGLING_CUT", "ReproduceReport",
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
     "activate", "activation_sweep", "build_dqc1_state",
-    "build_un", "canonical_blocks", "classical_correlation", "cnot",
-    "conditional_entropy", "decompose_rho3", "discord", "eta_state",
+    "build_un", "canonical_blocks", "classical_correlation",
+    "classical_correlation_many", "cnot", "conditional_entropy",
+    "decompose_rho3", "discord", "discord_many", "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",
     "ghz_reconstruct", "hermitian_eigensystem", "hermitian_eigenvalues",
     "is_ppt", "kay_criterion", "kron", "kron_all", "maximally_mixed",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -63,26 +64,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("steps must be >= 2", file=sys.stderr)
         return 2
     value_fn, closed_fn = QUANTITIES[args.quantity]
-    lines = []
-    if closed_fn is None:
-        lines.append("alpha,quantity,value")
-    else:
-        lines.append("alpha,quantity,value,closed_form,abs_error")
-    for a in np.linspace(args.start, args.end, args.steps):
-        a = float(a)
-        value = value_fn(a)
-        if closed_fn is None:
-            lines.append(f"{_fmt(a)},{args.quantity},{_fmt(value)}")
-        else:
-            closed = closed_fn(a)
-            lines.append(f"{_fmt(a)},{args.quantity},{_fmt(value)},"
-                         f"{_fmt(closed)},{_fmt(abs(value - closed))}")
+    alphas = [float(a) for a in np.linspace(args.start, args.end, args.steps)]
+    # open --out first: an unwritable path fails before any work, and a
+    # failed sweep leaves no partial file behind
+    fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    try:
+        lines = ["alpha,quantity,value" if closed_fn is None
+                 else "alpha,quantity,value,closed_form,abs_error"]
+        for a, value in zip(alphas, value_fn(alphas)):
+            row = f"{_fmt(a)},{args.quantity},{_fmt(value)}"
+            if closed_fn is not None:
+                closed = closed_fn(a)
+                row += f",{_fmt(closed)},{_fmt(abs(value - closed))}"
+            lines.append(row)
+    except BaseException:
+        if fh is not None:
+            fh.close()
+            os.remove(args.out)
+        raise
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if fh is None:
         sys.stdout.write(text)
+    else:
+        with fh:
+            fh.write(text)
     return 0
 
 

@@ -9,7 +9,7 @@ partial transpose and is exactly 1 for PPT states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,9 +173,11 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
             tol: float) -> list[tuple[float, float, float]]:
     """Refine every start point by coordinate-shrinking descent, in lock-step.
 
-    Each candidate follows exactly the path it would follow alone; one
-    kernel call per step evaluates the next probe of every candidate
-    still descending.  Returns (value, theta, phi) per start point.
+    ``blocks`` holds one (2, 2, d, d) state per start point, so the start
+    points of many states descend together.  Each candidate follows
+    exactly the path it would follow alone; one kernel call per step
+    evaluates the next probe of every candidate still descending.
+    Returns (value, theta, phi) per start point.
     """
     walks = [_descent(t, p, step_theta, step_phi, tol) for t, p in zip(thetas, phis)]
     probes = [next(w) for w in walks]
@@ -183,8 +185,8 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     active = list(range(len(walks)))
     while active:
         values = _kernels.conditional_entropy_grid(
-            blocks, np.array([probes[i][0] for i in active]),
-            np.array([probes[i][1] for i in active]), path=_kernels.POINT_PATH)
+            blocks[active], np.array([probes[i][0] for i in active]),
+            np.array([probes[i][1] for i in active]))
         still = []
         for i, val in zip(active, values):
             try:
@@ -196,60 +198,106 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     return results
 
 
-def classical_correlation(rho: DensityMatrix, measured_qubit: int,
-                          grid: tuple[int, int] = DEFAULT_GRID,
-                          refine_tol: float = REFINE_TOL,
-                          ) -> tuple[float, MeasurementBasis]:
-    """Largest measurement-extractable correlation, with its basis.
+def _grid_start_cells(blocks: np.ndarray,
+                      grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, phis) of the 5 best cells of the theta x phi grid, best first.
 
-    Maximizes S(unmeasured) - sum_k p_k S(rho_k) over rank-1 projective
-    measurements of one qubit: a dense theta x phi grid (default 64x128)
-    seeds coordinate-shrinking refinement from the 5 best cells, down to
-    1e-7 in the objective.  The 5 candidates are refined in lock-step,
-    one kernel call per step, each along the same path it would take
-    alone.  The result is a certified lower bound on the supremum; ties
-    in the optimum location break toward the smallest (theta, phi) pair.
+    The cells are returned as copies, so none of the grid's arrays
+    outlives this call.
     """
-    n = rho.num_qubits
-    if n < 2:
-        raise ValueError("state must have at least 2 qubits")
-    blocks = _measured_qubit_blocks(rho, measured_qubit)
-    unmeasured = tuple(q for q in range(n) if q != measured_qubit)
-    s_rest = von_neumann_entropy(partial_trace(rho, unmeasured))
-
     n_theta, n_phi = grid
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     values = _kernels.conditional_entropy_grid(blocks, tg.ravel(), pg.ravel())
-
     order = np.argsort(values, kind="stable")[:5]
-    step_t = np.pi / (n_theta - 1)
-    step_p = 2 * np.pi / n_phi
-    candidates = _refine(blocks, tg.ravel()[order], pg.ravel()[order],
-                         step_t, step_p, refine_tol)
-    best_val = min(c[0] for c in candidates)
-    # lexicographic tie-break among refined optima within the objective tolerance
-    tied = sorted((t, p) for val, t, p in candidates if val <= best_val + refine_tol)
-    theta, phi = tied[0]
-    return s_rest - best_val, MeasurementBasis(theta=float(theta), phi=float(phi))
+    return tg.ravel()[order], pg.ravel()[order]
+
+
+def classical_correlation_many(rhos: Sequence[DensityMatrix], measured_qubit: int,
+                               grid: tuple[int, int] = DEFAULT_GRID,
+                               refine_tol: float = REFINE_TOL,
+                               ) -> list[tuple[float, MeasurementBasis]]:
+    """Largest measurement-extractable correlation of each state, with its basis.
+
+    Maximizes S(unmeasured) - sum_k p_k S(rho_k) over rank-1 projective
+    measurements of one qubit: a dense theta x phi grid (default 64x128)
+    seeds coordinate-shrinking refinement from the 5 best cells, down to
+    1e-7 in the objective.  The grid is one kernel call per state; the
+    start cells of all states are then refined in one lock-step, one
+    kernel call per step, each along the same path it would take alone,
+    so a state's result does not depend on the others.  Each result is a
+    certified lower bound on the supremum; ties in the optimum location
+    break toward the smallest (theta, phi) pair.  The states must all
+    have the same number of qubits.
+    """
+    if len({rho.num_qubits for rho in rhos}) > 1:
+        raise ValueError("states must all have the same number of qubits")
+    blocks, s_rest, thetas, phis = [], [], [], []
+    for rho in rhos:
+        n = rho.num_qubits
+        if n < 2:
+            raise ValueError("state must have at least 2 qubits")
+        b = _measured_qubit_blocks(rho, measured_qubit)
+        unmeasured = tuple(q for q in range(n) if q != measured_qubit)
+        s_rest.append(von_neumann_entropy(partial_trace(rho, unmeasured)))
+        t, p = _grid_start_cells(b, grid)
+        blocks.append(b)
+        thetas.append(t)
+        phis.append(p)
+    if not blocks:
+        return []
+
+    n_theta, n_phi = grid
+    per_state = thetas[0].size  # every state has the same grid
+    candidates = _refine(np.repeat(np.stack(blocks), per_state, axis=0),
+                         np.concatenate(thetas), np.concatenate(phis),
+                         np.pi / (n_theta - 1), 2 * np.pi / n_phi, refine_tol)
+    results = []
+    for i, s in enumerate(s_rest):
+        own = candidates[i * per_state:(i + 1) * per_state]
+        best_val = min(c[0] for c in own)
+        # lexicographic tie-break among refined optima within the objective tolerance
+        tied = sorted((t, p) for val, t, p in own if val <= best_val + refine_tol)
+        theta, phi = tied[0]
+        results.append((s - best_val, MeasurementBasis(theta=float(theta), phi=float(phi))))
+    return results
+
+
+def classical_correlation(rho: DensityMatrix, measured_qubit: int,
+                          grid: tuple[int, int] = DEFAULT_GRID,
+                          refine_tol: float = REFINE_TOL,
+                          ) -> tuple[float, MeasurementBasis]:
+    """``classical_correlation_many`` of one state."""
+    return classical_correlation_many([rho], measured_qubit, grid, refine_tol)[0]
+
+
+def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int,
+                 grid: tuple[int, int] = DEFAULT_GRID,
+                 refine_tol: float = REFINE_TOL) -> list[DiscordResult]:
+    """Mutual information across the measured-qubit cut minus the
+    classical correlation, per state; small negative residues above
+    -1e-9 clamp to 0.  The classical correlations share one lock-step."""
+    mis = [mutual_information(rho, (measured_qubit,)) for rho in rhos]
+    results = []
+    for mi, (cc, basis) in zip(mis, classical_correlation_many(
+            rhos, measured_qubit, grid, refine_tol)):
+        q = mi - cc
+        if q < -NEGATIVITY_CLAMP:
+            raise RuntimeError(
+                f"discord {q} below the -1e-9 clamp window; optimizer exceeded "
+                "the mutual information")
+        results.append(DiscordResult(
+            mutual_information=mi,
+            classical_correlation=cc,
+            discord=max(q, 0.0),
+            optimal_basis=basis,
+        ))
+    return results
 
 
 def discord(rho: DensityMatrix, measured_qubit: int,
             grid: tuple[int, int] = DEFAULT_GRID,
             refine_tol: float = REFINE_TOL) -> DiscordResult:
-    """Mutual information across the measured-qubit cut minus the
-    classical correlation; small negative residues above -1e-9 clamp to 0."""
-    mi = mutual_information(rho, (measured_qubit,))
-    cc, basis = classical_correlation(rho, measured_qubit, grid, refine_tol)
-    q = mi - cc
-    if q < -NEGATIVITY_CLAMP:
-        raise RuntimeError(
-            f"discord {q} below the -1e-9 clamp window; optimizer exceeded "
-            "the mutual information")
-    return DiscordResult(
-        mutual_information=mi,
-        classical_correlation=cc,
-        discord=max(q, 0.0),
-        optimal_basis=basis,
-    )
+    """``discord_many`` of one state."""
+    return discord_many([rho], measured_qubit, grid, refine_tol)[0]

@@ -18,7 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .activation import AdversaryStrategy, activate, activation_sweep
-from .correlations import classical_correlation, discord, is_ppt, multiplicative_negativity
+from .correlations import (
+    classical_correlation_many,
+    discord_many,
+    is_ppt,
+    multiplicative_negativity,
+)
 from .dqc1 import (
     PAULI_X,
     PAULI_Y,
@@ -55,35 +60,49 @@ ALPHA_GRID = np.linspace(0.0, 1.0, 101)
 SAMPLING_SEEDS = (1, 2, 3, 4, 5)
 SAMPLING_SHOTS = 100_000
 
-#: Each swept quantity: name -> (value at alpha, closed form at alpha or
-#: None).  ``dqc1-lab sweep`` prints both; the battery reads its
-#: mult-negativity and activated-negativity closed forms from here.
-QUANTITIES: dict[str, tuple[Callable[[float], float], Callable[[float], float] | None]] = {
+#: Each swept quantity: name -> (values at a list of alphas, closed form
+#: at alpha or None).  ``dqc1-lab sweep`` prints both; the battery reads
+#: its mult-negativity and activated-negativity closed forms from here.
+#: The discord-type values take the whole list so that every state's
+#: optimizer shares one refinement lock-step.
+QUANTITIES: dict[str, tuple[Callable[[list[float]], list[float]],
+                            Callable[[float], float] | None]] = {
     "mult-negativity": (
-        lambda a: multiplicative_negativity(rho3(a).state, RHO3_ENTANGLING_CUT),
+        lambda alphas: [multiplicative_negativity(rho3(a).state, RHO3_ENTANGLING_CUT)
+                        for a in alphas],
         lambda a: max(1.0, (2 * a + 3) / 4),
     ),
     "pt-spectrum-min": (
-        lambda a: float(hermitian_eigenvalues(
-            partial_transpose(rho3(a).state, RHO3_ENTANGLING_CUT)).min()),
+        lambda alphas: [float(hermitian_eigenvalues(
+            partial_transpose(rho3(a).state, RHO3_ENTANGLING_CUT)).min())
+            for a in alphas],
         lambda a: (1 - 2 * a) / 8,
     ),
-    "discord": (lambda a: discord(rho3(a).state, 0).discord, None),
+    "discord": (
+        lambda alphas: [r.discord for r in discord_many(
+            [rho3(a).state for a in alphas], 0)],
+        None,
+    ),
     "discord-register": (
-        lambda a: discord(rho3(a).state, 1).discord,
+        lambda alphas: [r.discord for r in discord_many(
+            [rho3(a).state for a in alphas], 1)],
         lambda a: ((1 + a) * np.log2(1 + a) + (1 - a) * np.log2(max(1 - a, 1e-300))
                    if a > 0 else 0.0) / 4,
     ),
     "classical-correlation": (
-        lambda a: classical_correlation(rho3(a).state, 0)[0], None),
+        lambda alphas: [cc for cc, _ in classical_correlation_many(
+            [rho3(a).state for a in alphas], 0)],
+        None,
+    ),
     "activated-negativity": (
-        lambda a: activate(rho3(a).state, AdversaryStrategy.identity(),
-                           alpha=a).multiplicative_negativity,
+        lambda alphas: [activate(rho3(a).state, AdversaryStrategy.identity(),
+                                 alpha=a).multiplicative_negativity for a in alphas],
         lambda a: (8 + 3 * a) / 8,
     ),
     "separability": (
-        lambda a: {Verdict.FULLY_SEPARABLE: 1.0, Verdict.NPT_ENTANGLED: 0.0,
-                   Verdict.INCONCLUSIVE: 0.5}[full_separability_verdict(a).status],
+        lambda alphas: [{Verdict.FULLY_SEPARABLE: 1.0, Verdict.NPT_ENTANGLED: 0.0,
+                         Verdict.INCONCLUSIVE: 0.5}[full_separability_verdict(a).status]
+                        for a in alphas],
         lambda a: 1.0 if a <= 0.5 else 0.0,
     ),
 }
@@ -239,22 +258,22 @@ def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
         "identity strategy and at best (8+4a)/8 for any local-unitary "
         "adversary, so this check records the discrepancy and fails")
 
-    # discord across the clean-qubit cut and on a register qubit
+    # discord across the clean-qubit cut and on a register qubit: one
+    # optimizer lock-step per measured qubit
     discord_states = [_rho3_state(a, perturb) for a in (0.1, 0.25, 0.5)]
-    min_discord = min(discord(state, 0).discord for state in discord_states)
+    *clean, at_zero = discord_many(discord_states + [_rho3_state(0.0, perturb)], 0)
     report.add_threshold(
-        "discord-positive-range", min_discord, 1e-4,
+        "discord-positive-range", min(r.discord for r in clean), 1e-4,
         "published positivity claim for measurement on the clean qubit; the "
         "state is exactly classical on that side (its clean-qubit X basis "
         "flags an orthogonal register ensemble), so discord is 0 and this "
         "check records the discrepancy and fails")
-    min_discord = min(discord(state, 1).discord for state in discord_states)
     report.add_threshold(
-        "discord-register-qubit-positive", min_discord, 1e-4,
+        "discord-register-qubit-positive",
+        min(r.discord for r in discord_many(discord_states, 1)), 1e-4,
         "discord measured on a register qubit is strictly positive, the "
         "non-classicality the activation protocol detects")
-    report.add_deviation("discord-vanishes-at-zero",
-                         discord(_rho3_state(0.0, perturb), 0).discord, 1e-9,
+    report.add_deviation("discord-vanishes-at-zero", at_zero.discord, 1e-9,
                          "discord at alpha = 0")
 
     # trace estimator: closed form vs operator average, then shot sampling

@@ -66,3 +66,35 @@ def oracle_partial_trace(m: np.ndarray, num_qubits: int, keep) -> np.ndarray:
             for e in range(2 ** len(traced)):
                 out[i, j] += m[embed(i, e), embed(j, e)]
     return out
+
+
+# numpy's einsum formulation of the measurement kernel, with its
+# contraction order fixed by an explicit path: the outer products
+# conj(v) v first (the grid order), or conj(v) into the blocks first
+# (the point order).
+GRID_ORDER = ((0, 1), (0, 1))
+POINT_ORDER = ((0, 2), (0, 1))
+
+
+def oracle_entropy_grid(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
+                        path) -> np.ndarray:
+    """Measurement objective sum_k p_k S(A_k / p_k) at each (theta, phi).
+
+    ``blocks`` is one state's (2, 2, d, d) blocks or (g, 2, 2, d, d)
+    blocks, one state per point; A_k is contracted by ``np.einsum`` along
+    ``path`` (GRID_ORDER or POINT_ORDER).
+    """
+    ct, st, ph = np.cos(thetas / 2), np.sin(thetas / 2), np.exp(1j * phis)
+    v = np.empty((2, thetas.size, 2), dtype=np.complex128)
+    v[0, :, 0], v[0, :, 1] = ct, st * ph
+    v[1, :, 0], v[1, :, 1] = st, -ct * ph
+    subscripts = "gi,gj,ijrc->grc" if blocks.ndim == 4 else "gi,gj,gijrc->grc"
+    total = np.zeros(thetas.size)
+    for vk in v:
+        a = np.einsum(subscripts, vk.conj(), vk, blocks, optimize=("einsum_path", *path))
+        p = np.einsum("grr->g", a).real
+        safe = p > 1e-12
+        w = np.linalg.eigvalsh(a[safe] / p[safe, None, None])
+        w = np.where(w > 1e-12, w, 1.0)
+        total[safe] += p[safe] * -(w * np.log2(w)).sum(axis=1)
+    return total

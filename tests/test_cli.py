@@ -219,6 +219,64 @@ def test_sweep_to_missing_directory_exits_2(tmp_path, capsys):
     assert not out_file.parent.exists()
 
 
+def counted_kernel(monkeypatch, fail=False):
+    """Replace the grid kernel with one that records its batch sizes."""
+    from dqc1lab import _kernels
+
+    calls = []
+    kernel = _kernels.conditional_entropy_grid
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        if fail:
+            raise ValueError("kernel failed")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "conditional_entropy_grid", counting)
+    return calls
+
+
+def test_sweep_to_unwritable_path_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = counted_kernel(monkeypatch)
+    out_file = tmp_path / "missing" / "sweep.csv"
+    code = main(["sweep", "--quantity", "discord", "--steps", "21",
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert calls == []
+    assert not out_file.parent.exists()
+
+
+def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    calls = counted_kernel(monkeypatch, fail=True)
+    out_file = tmp_path / "sweep.csv"
+    code = main(["sweep", "--quantity", "discord-register", "--steps", "3",
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: kernel failed\n"
+    assert calls == [64 * 128]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_evaluates_the_whole_alpha_list_at_once(monkeypatch, capsys):
+    from dqc1lab import reproduce
+
+    value_fn, closed_fn = reproduce.QUANTITIES["mult-negativity"]
+    seen = []
+
+    def recording(alphas):
+        seen.append(list(alphas))
+        return value_fn(alphas)
+
+    monkeypatch.setitem(reproduce.QUANTITIES, "mult-negativity", (recording, closed_fn))
+    assert main(["sweep", "--quantity", "mult-negativity", "--steps", "5"]) == 0
+    assert seen == [[0.0, 0.25, 0.5, 0.75, 1.0]]
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
 def test_sweep_writes_file(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code = main(["sweep", "--quantity", "separability", "--steps", "5",

@@ -1,6 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import random_density_matrix, random_product_state, random_unitary
+from conftest import (
+    GRID_ORDER,
+    POINT_ORDER,
+    oracle_entropy_grid,
+    random_density_matrix,
+    random_product_state,
+    random_unitary,
+)
 
 import dqc1lab as d
 from dqc1lab import _kernels
@@ -181,6 +190,38 @@ def test_grid_kernel_agrees_with_projector_route():
 
 
 LOCKSTEP_CASES = [(a, q) for a in (0.1, 0.5, 0.9) for q in (0, 1, 2)]
+SWEEP_ALPHAS = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, 8192])
+def test_grid_order_matches_einsum_oracle_bitwise(g):
+    rng = np.random.default_rng(49)
+    states = [d.rho3(0.5).state] + [random_density_matrix(rng, n) for n in (2, 3, 4)]
+    if g == 64 * 128:
+        # the grid classical_correlation evaluates, poles included
+        tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 64),
+                             np.linspace(0.0, 2 * np.pi, 128, endpoint=False),
+                             indexing="ij")
+        thetas, phis = tg.ravel(), pg.ravel()
+    else:
+        thetas, phis = rng.uniform(0, np.pi, g), rng.uniform(0, 2 * np.pi, g)
+    for rho in states:
+        for q in range(rho.num_qubits):
+            blocks = _measured_qubit_blocks(rho, q)
+            got = _kernels.conditional_entropy_grid(blocks, thetas, phis)
+            assert np.array_equal(got, oracle_entropy_grid(blocks, thetas, phis, GRID_ORDER))
+
+
+@pytest.mark.parametrize("g", [1, 5, 25])
+def test_point_order_matches_einsum_oracle_bitwise(g):
+    rng = np.random.default_rng(50)
+    for q in (0, 1, 2):
+        for _ in range(4):
+            blocks = np.stack([_measured_qubit_blocks(d.rho3(a).state, q)
+                               for a in rng.choice(SWEEP_ALPHAS, g)])
+            thetas, phis = rng.uniform(0, np.pi, g), rng.uniform(0, 2 * np.pi, g)
+            got = _kernels.conditional_entropy_grid(blocks, thetas, phis)
+            assert np.array_equal(got, oracle_entropy_grid(blocks, thetas, phis, POINT_ORDER))
 
 
 def grid_start_cells(blocks, grid=(64, 128)):
@@ -189,13 +230,13 @@ def grid_start_cells(blocks, grid=(64, 128)):
     tg, pg = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
                          np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False),
                          indexing="ij")
-    values = _kernels.conditional_entropy_grid(blocks, tg.ravel(), pg.ravel())
+    values = oracle_entropy_grid(blocks, tg.ravel(), pg.ravel(), GRID_ORDER)
     order = np.argsort(values, kind="stable")[:5]
     return tg.ravel()[order], pg.ravel()[order], np.pi / (n_theta - 1), 2 * np.pi / n_phi
 
 
 def sequential_refine(blocks, theta, phi, step_theta, step_phi, tol):
-    """Reference descent of one candidate, one kernel call per probe.
+    """Reference descent of one candidate, one oracle call per probe.
 
     Returns ((value, theta, phi), number of kernel calls).
     """
@@ -206,8 +247,7 @@ def sequential_refine(blocks, theta, phi, step_theta, step_phi, tol):
         calls += 1
         t = min(max(t, 0.0), np.pi)
         p = p % (2 * np.pi)
-        val = _kernels.conditional_entropy_grid(
-            blocks, np.array([t]), np.array([p]), path=_kernels.POINT_PATH)[0]
+        val = oracle_entropy_grid(blocks, np.array([t]), np.array([p]), POINT_ORDER)[0]
         return val, t, p
 
     best, theta, phi = evaluate(theta, phi)
@@ -230,19 +270,35 @@ def tie_break(candidates, tol):
     return sorted((t, p) for val, t, p in candidates if val <= best + tol)[0]
 
 
+def sequential_classical_correlation(rho, qubit, grid=(64, 128)):
+    """Reference classical correlation: oracle grid, then each start cell alone.
+
+    Returns (value, (theta, phi)).
+    """
+    blocks = _measured_qubit_blocks(rho, qubit)
+    thetas, phis, st, sp = grid_start_cells(blocks, grid)
+    candidates = [sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[0]
+                  for t, p in zip(thetas, phis)]
+    rest = tuple(q for q in range(rho.num_qubits) if q != qubit)
+    s_rest = d.von_neumann_entropy(d.partial_trace(rho, rest))
+    return s_rest - min(c[0] for c in candidates), tie_break(candidates, REFINE_TOL)
+
+
 @pytest.mark.parametrize("alpha,qubit", LOCKSTEP_CASES)
 def test_point_path_is_batch_invariant(alpha, qubit):
-    # lock-step refinement evaluates up to 5 probes per call, so each
-    # probe's value must not depend on what else is in the batch
-    blocks = _measured_qubit_blocks(d.rho3(alpha).state, qubit)
+    # lock-step refinement evaluates the probes of every state of a sweep
+    # in one call, so each probe's value must not depend on what else is
+    # in the batch, other states included
     rng = np.random.default_rng(47)
-    thetas = rng.uniform(0, np.pi, 5)
-    phis = rng.uniform(0, 2 * np.pi, 5)
-    batch = _kernels.conditional_entropy_grid(blocks, thetas, phis,
-                                              path=_kernels.POINT_PATH)
-    alone = [_kernels.conditional_entropy_grid(blocks, thetas[i:i + 1], phis[i:i + 1],
-                                               path=_kernels.POINT_PATH)[0]
-             for i in range(5)]
+    alphas = [alpha, *rng.choice(SWEEP_ALPHAS, 4)]
+    blocks = np.repeat(np.stack([_measured_qubit_blocks(d.rho3(a).state, qubit)
+                                 for a in alphas]), 5, axis=0)
+    thetas = rng.uniform(0, np.pi, 25)
+    phis = rng.uniform(0, 2 * np.pi, 25)
+    batch = _kernels.conditional_entropy_grid(blocks, thetas, phis)
+    alone = [_kernels.conditional_entropy_grid(blocks[i:i + 1], thetas[i:i + 1],
+                                               phis[i:i + 1])[0]
+             for i in range(25)]
     assert np.array_equal(batch, alone)
 
 
@@ -250,33 +306,40 @@ def test_point_path_is_batch_invariant(alpha, qubit):
 def test_lockstep_refine_reproduces_sequential_descent_bitwise(alpha, qubit):
     blocks = _measured_qubit_blocks(d.rho3(alpha).state, qubit)
     thetas, phis, st, sp = grid_start_cells(blocks)
-    got = _refine(blocks, thetas, phis, st, sp, REFINE_TOL)
+    got = _refine(np.repeat(blocks[None], 5, axis=0), thetas, phis, st, sp, REFINE_TOL)
     want = [sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[0]
             for t, p in zip(thetas, phis)]
     assert got == want
 
 
+@pytest.mark.parametrize("qubit", [0, 1])
+def test_classical_correlation_many_reproduces_sequential_oracle_bitwise(qubit):
+    states = [d.rho3(a).state for a in SWEEP_ALPHAS]
+    got = d.classical_correlation_many(states, qubit)
+    want = [sequential_classical_correlation(rho, qubit) for rho in states]
+    assert [(value, (basis.theta, basis.phi)) for value, basis in got] == want
+
+
 def test_lockstep_refine_matches_sequential_descent_on_random_states():
     rng = np.random.default_rng(48)
     for n in (2, 3, 4):
-        rho = random_density_matrix(rng, n)
+        states = [random_density_matrix(rng, n) for _ in range(2)]
         for q in range(n):
-            blocks = _measured_qubit_blocks(rho, q)
-            thetas, phis, st, sp = grid_start_cells(blocks, grid=(16, 32))
-            got = _refine(blocks, thetas, phis, st, sp, REFINE_TOL)
-            want = [sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[0]
-                    for t, p in zip(thetas, phis)]
-            for g, w in zip(got, want):
-                assert abs(g[0] - w[0]) < 1e-12
-            assert tie_break(got, REFINE_TOL) == tie_break(want, REFINE_TOL)
+            got = d.classical_correlation_many(states, q, grid=(16, 32))
+            for rho, (value, basis) in zip(states, got):
+                want_value, want_basis = sequential_classical_correlation(rho, q, (16, 32))
+                assert abs(value - want_value) < 1e-12
+                assert (basis.theta, basis.phi) == want_basis
 
 
 def test_classical_correlation_makes_one_kernel_call_per_lockstep_step(monkeypatch):
-    rho = d.rho3(0.5).state
-    blocks = _measured_qubit_blocks(rho, 1)
-    thetas, phis, st, sp = grid_start_cells(blocks)
-    longest = max(sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[1]
-                  for t, p in zip(thetas, phis))
+    states = [d.rho3(a).state for a in (0.5, 0.1, 0.9)]
+    longest = []
+    for rho in states:
+        blocks = _measured_qubit_blocks(rho, 1)
+        thetas, phis, st, sp = grid_start_cells(blocks)
+        longest.append(max(sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[1]
+                           for t, p in zip(thetas, phis)))
     calls = []
     kernel = _kernels.conditional_entropy_grid
 
@@ -285,10 +348,40 @@ def test_classical_correlation_makes_one_kernel_call_per_lockstep_step(monkeypat
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "conditional_entropy_grid", counting)
-    d.classical_correlation(rho, 1)
-    assert len(calls) == 1 + longest
+    d.classical_correlation(states[0], 1)
+    assert len(calls) == 1 + longest[0]
     assert calls[0] == 64 * 128
     assert max(calls[1:]) == 5
+
+    # several states: one grid call each, then one lock-step for all
+    calls.clear()
+    d.classical_correlation_many(states, 1)
+    assert calls[:3] == [64 * 128] * 3
+    assert len(calls) == 3 + max(longest)
+    assert max(calls[3:]) == 15
+
+
+def test_classical_correlation_many_peak_memory_is_one_states_grid():
+    # the states' grids run one after another, and nothing of one grid
+    # may outlive its call: 5 states peak no higher than one
+    states = [d.rho3(a).state for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+    def peak(rhos):
+        tracemalloc.start()
+        try:
+            d.classical_correlation_many(rhos, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(states[:1])
+    assert peak(states) <= peak(states[:1]) + 16 * 1024
+
+
+def test_classical_correlation_many_rejects_mixed_sizes():
+    with pytest.raises(ValueError, match="same number of qubits"):
+        d.classical_correlation_many([d.maximally_mixed(2), d.maximally_mixed(3)], 0)
+    assert d.classical_correlation_many([], 0) == []
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,50 @@
+"""Property tests of the discord-type measures on random two-qubit states.
+
+Each example draws a seed and builds its states with the suite's seeded
+random-state helper, so a failure names the seed that reproduces it.
+"""
+
+import numpy as np
+from conftest import random_density_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dqc1lab as d
+
+GRID = (16, 32)
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+qubits = st.integers(min_value=0, max_value=1)
+
+
+def two_qubit_state(seed):
+    return random_density_matrix(np.random.default_rng(seed), 2)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, qubit=qubits)
+def test_discord_lies_between_zero_and_the_mutual_information(seed, qubit):
+    rho = two_qubit_state(seed)
+    result = d.discord(rho, qubit, grid=GRID)
+    assert 0.0 <= result.discord <= result.mutual_information + 1e-12
+    assert result.mutual_information == d.mutual_information(rho, (qubit,))
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, qubit=qubits)
+def test_classical_correlation_is_at_most_either_marginal_entropy(seed, qubit):
+    rho = two_qubit_state(seed)
+    value, _ = d.classical_correlation(rho, qubit, grid=GRID)
+    s_a = d.von_neumann_entropy(d.partial_trace(rho, (0,)))
+    s_b = d.von_neumann_entropy(d.partial_trace(rho, (1,)))
+    assert value <= min(s_a, s_b) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(batch=st.lists(seeds, min_size=1, max_size=4), qubit=qubits)
+def test_a_batch_equals_its_states_one_at_a_time(batch, qubit):
+    states = [two_qubit_state(seed) for seed in batch]
+    together = d.discord_many(states, qubit, grid=GRID)
+    alone = [d.discord(rho, qubit, grid=GRID) for rho in states]
+    assert together == alone
