@@ -8,6 +8,7 @@ partial transpose and is exactly 1 for PPT states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,6 +31,7 @@ PPT_TOL = -1e-10
 NEGATIVITY_CLAMP = 1e-9
 DEFAULT_GRID = (64, 128)
 REFINE_TOL = 1e-7
+_MIRROR_SLACK = 1e-9  # equivalent grid cells differ by a few 1e-15
 
 
 @dataclass(frozen=True)
@@ -198,20 +200,59 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     return results
 
 
+def _check_grid(grid) -> tuple[int, int]:
+    try:
+        n_theta, n_phi = (operator.index(n) for n in grid)
+    except (TypeError, ValueError):
+        n_theta = n_phi = 0
+    if n_theta < 2 or n_phi < 1:
+        raise ValueError(f"grid must be integers (n_theta, n_phi) with n_theta >= 2 "
+                         f"and n_phi >= 1, got {grid!r}")
+    return n_theta, n_phi
+
+
+def _class_representatives(n_theta: int, n_phi: int, real: bool) -> np.ndarray:
+    """Smallest flat index among each grid cell's equivalent cells.
+
+    n and -n are one measurement: the antipode (n_theta-1-i, j + n_phi/2)
+    when n_phi is even.  Real blocks add the phi-mirror j -> -j.
+    """
+    i = np.arange(n_theta)[:, None]
+    j = np.arange(n_phi)[None, :]
+    images = [i * n_phi + j]
+    if n_phi % 2 == 0:
+        images.append((n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi)
+    if real:
+        images += [img - img % n_phi + (-img % n_phi) for img in images]
+    return np.minimum.reduce(images).ravel()
+
+
 def _grid_start_cells(blocks: np.ndarray,
                       grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """(thetas, phis) of the 5 best cells of the theta x phi grid, best first.
 
-    The cells are returned as copies, so none of the grid's arrays
-    outlives this call.
+    Exactly the stable argsort of the whole grid: a cell has the same bits
+    in any subset of the grid, and equivalent cells differ by rounding, so
+    only the class representatives and the cells whose representative is
+    within ``_MIRROR_SLACK`` of the 5th-best value can be in the top 5.
+    The cells are returned as copies, so no grid array outlives the call.
     """
     n_theta, n_phi = grid
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    values = _kernels.conditional_entropy_grid(blocks, tg.ravel(), pg.ravel())
+    tg, pg = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, np.pi, n_theta),
+        np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False), indexing="ij"))
+    rep = _class_representatives(n_theta, n_phi, not blocks.imag.any())
+    cells = np.arange(rep.size)
+    values = np.full(rep.size, np.inf)
+    own = cells[rep == cells]
+    values[own] = _kernels.conditional_entropy_grid(blocks, tg[own], pg[own])
+    screen = values[rep]
+    kth = min(5, rep.size) - 1
+    near = (screen <= np.partition(screen, kth)[kth] + _MIRROR_SLACK) & (rep != cells)
+    if near.any():
+        values[near] = _kernels.conditional_entropy_grid(blocks, tg[near], pg[near])
     order = np.argsort(values, kind="stable")[:5]
-    return tg.ravel()[order], pg.ravel()[order]
+    return tg[order], pg[order]
 
 
 def classical_correlation_many(rhos: Sequence[DensityMatrix], measured_qubit: int,
@@ -223,14 +264,15 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix], measured_qubit: in
     Maximizes S(unmeasured) - sum_k p_k S(rho_k) over rank-1 projective
     measurements of one qubit: a dense theta x phi grid (default 64x128)
     seeds coordinate-shrinking refinement from the 5 best cells, down to
-    1e-7 in the objective.  The grid is one kernel call per state; the
-    start cells of all states are then refined in one lock-step, one
-    kernel call per step, each along the same path it would take alone,
-    so a state's result does not depend on the others.  Each result is a
-    certified lower bound on the supremum; ties in the optimum location
-    break toward the smallest (theta, phi) pair.  The states must all
-    have the same number of qubits.
+    1e-7 in the objective.  Each state's grid takes one or two kernel
+    calls; the start cells of all states are then refined in one
+    lock-step, one kernel call per step, each along the same path it
+    would take alone, so a state's result does not depend on the others.
+    Each result is a certified lower bound on the supremum; ties in the
+    optimum location break toward the smallest (theta, phi) pair.  The
+    states must all have the same number of qubits.
     """
+    n_theta, n_phi = _check_grid(grid)
     if len({rho.num_qubits for rho in rhos}) > 1:
         raise ValueError("states must all have the same number of qubits")
     blocks, s_rest, thetas, phis = [], [], [], []
@@ -241,14 +283,13 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix], measured_qubit: in
         b = _measured_qubit_blocks(rho, measured_qubit)
         unmeasured = tuple(q for q in range(n) if q != measured_qubit)
         s_rest.append(von_neumann_entropy(partial_trace(rho, unmeasured)))
-        t, p = _grid_start_cells(b, grid)
+        t, p = _grid_start_cells(b, (n_theta, n_phi))
         blocks.append(b)
         thetas.append(t)
         phis.append(p)
     if not blocks:
         return []
 
-    n_theta, n_phi = grid
     per_state = thetas[0].size  # every state has the same grid
     candidates = _refine(np.repeat(np.stack(blocks), per_state, axis=0),
                          np.concatenate(thetas), np.concatenate(phis),

@@ -165,6 +165,8 @@ def _random_density_matrix(rng: np.random.Generator, num_qubits: int) -> Density
 def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
     """Run the full battery; ``perturb`` is a test hook that injects a
     diagonal defect of the given size into the three-qubit state."""
+    if not 0.0 <= perturb <= 1.0:
+        raise ValueError(f"perturb must be a finite number in [0, 1], got {perturb}")
     report = ReproduceReport()
     negativity_closed_form = QUANTITIES["mult-negativity"][1]
     activation_closed_form = QUANTITIES["activated-negativity"][1]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ def test_reproduce_perturbation_hook_breaks_more_checks(capsys):
     assert len(failed) > len(KNOWN_DISCREPANT_CHECKS)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "2"])
+def test_reproduce_rejects_perturbations_outside_the_unit_interval(value, monkeypatch,
+                                                                   capsys):
+    from dqc1lab import reproduce
+
+    monkeypatch.setattr(reproduce, "rho3", None)  # any work would fail
+    assert main(["reproduce", "--perturb", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: perturb must be a finite number in [0, 1]")
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_mult_negativity(capsys):
     code = main(["sweep", "--quantity", "mult-negativity",
                  "--start", "0", "--end", "1", "--steps", "101"])
@@ -126,6 +140,14 @@ def test_discord_sweep_bytes_match_recorded_digest(quantity, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_digests_are_the_benchmark_digests():
+    # the benchmark's correctness gate keeps its own copy of these digests
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))["digests"]
+    assert recorded == {" ".join(["sweep", "--quantity", quantity, *extra]): digest
+                        for quantity, (extra, digest) in SWEEP_DIGESTS.items()}
 
 
 # SHA-256 of `reproduce --json` without the sampling check's z-score,
@@ -257,7 +279,8 @@ def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: kernel failed\n"
-    assert calls == [64 * 128]
+    # the first grid call, on the 2080 class representatives of the 64x128 grid
+    assert calls == [2080]
     assert list(tmp_path.iterdir()) == []
 
 

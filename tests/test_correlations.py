@@ -13,7 +13,12 @@ from conftest import (
 
 import dqc1lab as d
 from dqc1lab import _kernels
-from dqc1lab.correlations import REFINE_TOL, _measured_qubit_blocks, _refine
+from dqc1lab.correlations import (
+    REFINE_TOL,
+    _grid_start_cells,
+    _measured_qubit_blocks,
+    _refine,
+)
 from dqc1lab.dqc1 import PAULI_X
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
@@ -198,11 +203,7 @@ def test_grid_order_matches_einsum_oracle_bitwise(g):
     rng = np.random.default_rng(49)
     states = [d.rho3(0.5).state] + [random_density_matrix(rng, n) for n in (2, 3, 4)]
     if g == 64 * 128:
-        # the grid classical_correlation evaluates, poles included
-        tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 64),
-                             np.linspace(0.0, 2 * np.pi, 128, endpoint=False),
-                             indexing="ij")
-        thetas, phis = tg.ravel(), pg.ravel()
+        thetas, phis = full_grid((64, 128))  # poles included
     else:
         thetas, phis = rng.uniform(0, np.pi, g), rng.uniform(0, 2 * np.pi, g)
     for rho in states:
@@ -224,15 +225,22 @@ def test_point_order_matches_einsum_oracle_bitwise(g):
             assert np.array_equal(got, oracle_entropy_grid(blocks, thetas, phis, POINT_ORDER))
 
 
-def grid_start_cells(blocks, grid=(64, 128)):
-    """The 5 best grid cells and the grid steps, as classical_correlation seeds them."""
+def full_grid(grid):
+    """(thetas, phis) of every cell of the grid classical_correlation evaluates."""
     n_theta, n_phi = grid
     tg, pg = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
                          np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False),
                          indexing="ij")
-    values = oracle_entropy_grid(blocks, tg.ravel(), pg.ravel(), GRID_ORDER)
+    return tg.ravel(), pg.ravel()
+
+
+def grid_start_cells(blocks, grid=(64, 128)):
+    """The 5 best grid cells and the grid steps, as classical_correlation seeds them."""
+    n_theta, n_phi = grid
+    thetas, phis = full_grid(grid)
+    values = oracle_entropy_grid(blocks, thetas, phis, GRID_ORDER)
     order = np.argsort(values, kind="stable")[:5]
-    return tg.ravel()[order], pg.ravel()[order], np.pi / (n_theta - 1), 2 * np.pi / n_phi
+    return thetas[order], phis[order], np.pi / (n_theta - 1), 2 * np.pi / n_phi
 
 
 def sequential_refine(blocks, theta, phi, step_theta, step_phi, tol):
@@ -348,17 +356,21 @@ def test_classical_correlation_makes_one_kernel_call_per_lockstep_step(monkeypat
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "conditional_entropy_grid", counting)
+    # the register-qubit objective of rho3 is constant, so every cell ties:
+    # the grid takes the 2080 class representatives of the 64x128 grid,
+    # then the 6112 cells they stand for
+    grid_calls = [2080, 6112]
     d.classical_correlation(states[0], 1)
-    assert len(calls) == 1 + longest[0]
-    assert calls[0] == 64 * 128
-    assert max(calls[1:]) == 5
+    assert calls[:2] == grid_calls
+    assert len(calls) == 2 + longest[0]
+    assert max(calls[2:]) == 5
 
-    # several states: one grid call each, then one lock-step for all
+    # several states: their grid calls, then one lock-step for all
     calls.clear()
     d.classical_correlation_many(states, 1)
-    assert calls[:3] == [64 * 128] * 3
-    assert len(calls) == 3 + max(longest)
-    assert max(calls[3:]) == 15
+    assert calls[:6] == grid_calls * 3
+    assert len(calls) == 6 + max(longest)
+    assert max(calls[6:]) == 15
 
 
 def test_classical_correlation_many_peak_memory_is_one_states_grid():
@@ -382,6 +394,68 @@ def test_classical_correlation_many_rejects_mixed_sizes():
     with pytest.raises(ValueError, match="same number of qubits"):
         d.classical_correlation_many([d.maximally_mixed(2), d.maximally_mixed(3)], 0)
     assert d.classical_correlation_many([], 0) == []
+
+
+def screen_cases():
+    """(state, measured qubit) pairs for the start-cell screen: rho3 on the
+    alpha grid, a state where every cell ties, and seeded random states
+    with real, complex and rank-1 matrices."""
+    cases = [(d.rho3(a).state, q) for a in ALPHAS for q in (0, 1)]
+    cases.append((d.maximally_mixed(3), 0))
+    rng = np.random.default_rng(51)
+    for n in (2, 3, 4):
+        dim = 2**n
+        real = rng.normal(size=(dim, dim))
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for m in (real @ real.T, random_density_matrix(rng, n).matrix,
+                  np.outer(psi, psi.conj())):
+            rho = d.DensityMatrix(m / np.trace(m).real, n)
+            cases += [(rho, 0), (rho, n - 1)]
+    return cases
+
+
+SCREEN_CASES = screen_cases()
+
+
+@pytest.mark.parametrize("grid", [(64, 128), (16, 32), (15, 31), (2, 2)],
+                         ids=lambda grid: "x".join(map(str, grid)))
+def test_grid_start_cells_match_full_grid_argsort(grid):
+    thetas, phis = full_grid(grid)
+    for rho, q in SCREEN_CASES:
+        blocks = _measured_qubit_blocks(rho, q)
+        values = _kernels.conditional_entropy_grid(blocks, thetas, phis)
+        order = np.argsort(values, kind="stable")[:5]
+        got = _grid_start_cells(blocks, grid)
+        assert np.array_equal(got[0], thetas[order])
+        assert np.array_equal(got[1], phis[order])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 2080, 6112])
+def test_grid_order_gives_a_cell_the_same_bits_in_any_subset(size):
+    # the start-cell screen evaluates gathered subsets of the grid and
+    # relies on each cell's value matching the full-grid call bit for bit
+    rng = np.random.default_rng(52)
+    thetas, phis = full_grid((64, 128))
+    states = [(d.rho3(0.5).state, 0), (d.rho3(0.5).state, 1),
+              (random_density_matrix(rng, 3), 2)]
+    for rho, q in states:
+        blocks = _measured_qubit_blocks(rho, q)
+        full = _kernels.conditional_entropy_grid(blocks, thetas, phis)
+        cells = rng.choice(thetas.size, size, replace=False)
+        got = _kernels.conditional_entropy_grid(blocks, thetas[cells], phis[cells])
+        assert np.array_equal(got, full[cells])
+
+
+@pytest.mark.parametrize("grid", [(1, 8), (0, 4), (8, 0), (8.0, 16), (8,), "ab", None])
+def test_classical_correlation_rejects_bad_grids(grid):
+    with pytest.raises(ValueError, match="grid"):
+        d.classical_correlation(d.rho3(0.5).state, 0, grid=grid)
+
+
+def test_grids_with_fewer_than_five_cells_still_work():
+    value, _ = d.classical_correlation(d.rho3(0.5).state, 0, grid=(2, 2))
+    assert np.isfinite(value)
+    assert d.discord(d.rho3(0.5).state, 1, grid=(2, 1)).discord >= 0.0
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Property tests of the discord-type measures on random two-qubit states.
+"""Property tests of the discord-type measures on random few-qubit states.
 
 Each example draws a seed and builds its states with the suite's seeded
 random-state helper, so a failure names the seed that reproduces it.
 """
 
 import numpy as np
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,3 +48,25 @@ def test_a_batch_equals_its_states_one_at_a_time(batch, qubit):
     together = d.discord_many(states, qubit, grid=GRID)
     alone = [d.discord(rho, qubit, grid=GRID) for rho in states]
     assert together == alone
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, num_qubits=st.integers(min_value=2, max_value=3),
+       data=st.data())
+def test_a_local_unitary_on_an_unmeasured_qubit_leaves_the_correlations(
+        seed, num_qubits, data):
+    # the state is real and the unitary makes it complex, so the grid
+    # search folds mirrored cells together on one side and only antipodal
+    # cells on the other
+    rng = np.random.default_rng(seed)
+    rho = d.DensityMatrix(random_density_matrix(rng, num_qubits).matrix.real, num_qubits)
+    measured = data.draw(st.integers(min_value=0, max_value=num_qubits - 1))
+    rotated_qubit = data.draw(st.sampled_from(
+        [q for q in range(num_qubits) if q != measured]))
+    w = np.array([[1.0 + 0j]])
+    for q in range(num_qubits):
+        w = np.kron(w, random_unitary(rng, 2) if q == rotated_qubit else np.eye(2))
+    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T, num_qubits)
+    base, moved = d.discord(rho, measured, grid=GRID), d.discord(rotated, measured, grid=GRID)
+    assert abs(moved.discord - base.discord) <= 1e-9
+    assert abs(moved.classical_correlation - base.classical_correlation) <= 1e-9
