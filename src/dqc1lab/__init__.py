@@ -6,7 +6,7 @@ correlation measures, certifies full separability of the three-qubit
 output, and runs the correlation-activation protocol.
 """
 
-from .activation import ActivationResult, AdversaryStrategy, activate, activation_sweep, cnot
+from .activation import ActivationResult, AdversaryStrategy, activate, activation_sweep
 from .correlations import (
     DiscordResult,
     MeasurementBasis,
@@ -72,7 +72,7 @@ __all__ = [
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
     "activate", "activation_sweep", "build_dqc1_state",
     "build_un", "canonical_blocks", "classical_correlation",
-    "classical_correlation_many", "cnot", "conditional_entropy",
+    "classical_correlation_many", "conditional_entropy",
     "decompose_rho3", "discord", "discord_many", "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",
     "ghz_reconstruct", "hermitian_eigensystem", "hermitian_eigenvalues",

@@ -15,31 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_complex_matrix, kron_all, partial_transpose, trace_norm
+from .linalg import DensityMatrix, _as_complex_matrix, partial_transpose_matrix, trace_norm
 
 UNITARY_TOL = 1e-12
 ANCILLA_CUT = (3, 4, 5)
 
-#: The three copy gates cnot(i, i + 3, 6) as one basis permutation of six
-#: qubits, |s, a> -> |s, a xor s> for system bits s and ancilla bits a.
-#: The gates commute and the map is its own inverse.
-_COPY_PERM = np.array([b ^ ((b >> 3) & 7) for b in range(64)])
-
-
-def cnot(control: int, target: int, num_qubits: int) -> np.ndarray:
-    """Permutation unitary flipping ``target`` conditioned on ``control``."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not (0 <= control < num_qubits and 0 <= target < num_qubits):
-        raise ValueError(f"qubit index out of range for {num_qubits} qubits")
-    dim = 2**num_qubits
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    cbit = num_qubits - 1 - control
-    tbit = num_qubits - 1 - target
-    for b in range(dim):
-        out = b ^ (((b >> cbit) & 1) << tbit)
-        m[out, b] = 1
-    return m
+#: The copy gates map |s>|000> to |s>|s>, six-qubit index 8s + s = 9s.
+_COPIED = 9 * np.arange(8)
+_COPIED.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -84,15 +67,6 @@ class AdversaryStrategy:
         return cls(tuple(us), label=f"random(seed={seed})")
 
 
-def _copy_to_ancillas(big: np.ndarray) -> np.ndarray:
-    """Conjugate a six-qubit operator by the CNOTs of qubit i onto qubit i+3.
-
-    Reindexes rows and columns by the copy permutation, which equals the
-    dense product with the ``cnot`` matrices entry for entry.
-    """
-    return big[_COPY_PERM][:, _COPY_PERM]
-
-
 @dataclass(frozen=True)
 class ActivationResult:
     multiplicative_negativity: float
@@ -104,21 +78,22 @@ def activate(rho: DensityMatrix, strategy: AdversaryStrategy,
              alpha: float = float("nan")) -> ActivationResult:
     """Run the copy protocol on a 3-qubit state and score the split.
 
-    Builds rho tensor |000><000| on six qubits (system 0-2, ancillas
-    3-5), applies the strategy unitaries to the system, CNOTs qubit i
-    onto qubit i+3, and returns the trace norm of the partial transpose
-    over the ancillas.
+    Applies the strategy unitaries to the system, CNOTs qubit i onto
+    ancilla i+3 (all starting in |0>), and returns the trace norm of the
+    partial transpose over the ancillas.  The copied six-qubit state is
+    the rotated state r at rows and columns 9s, zero elsewhere: a basis
+    permutation of r (+) 0 with the same entries, trace and nonzero
+    spectrum, so admitting r admits the copied state.
     """
     if rho.num_qubits != 3:
         raise ValueError("activation protocol expects a 3-qubit system state")
-    anc = np.zeros((8, 8), dtype=np.complex128)
-    anc[0, 0] = 1.0
-    big = np.kron(rho.matrix, anc)
-    eye = np.eye(2, dtype=np.complex128)
-    v = kron_all(*strategy.unitaries, eye, eye, eye)
-    big = _copy_to_ancillas(v @ big @ v.conj().T)
-    big = (big + big.conj().T) / 2
-    value = trace_norm(partial_transpose(DensityMatrix(big, 6), ANCILLA_CUT))
+    u0, u1, u2 = strategy.unitaries
+    u = np.kron(np.kron(u0, u1), u2)
+    r = u @ rho.matrix @ u.conj().T
+    r = DensityMatrix((r + r.conj().T) / 2, 3).matrix
+    big = np.zeros((64, 64), dtype=np.complex128)
+    big[_COPIED[:, None], _COPIED] = r
+    value = trace_norm(partial_transpose_matrix(big, 6, ANCILLA_CUT))
     if value < 1.0 - 1e-10:
         raise RuntimeError(f"activated trace norm {value} fell below 1")
     return ActivationResult(multiplicative_negativity=value,

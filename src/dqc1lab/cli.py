@@ -54,15 +54,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.quantity not in QUANTITIES:
-        print(f"unknown quantity {args.quantity!r}; choose from "
-              f"{', '.join(sorted(QUANTITIES))}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown quantity {args.quantity!r}; choose from "
+                         f"{', '.join(sorted(QUANTITIES))}")
     if not (0 <= args.start <= args.end <= 1):
-        print("require 0 <= start <= end <= 1", file=sys.stderr)
-        return 2
+        raise ValueError("require 0 <= start <= end <= 1")
     if args.steps < 2:
-        print("steps must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("steps must be >= 2")
     value_fn, closed_fn = QUANTITIES[args.quantity]
     alphas = [float(a) for a in np.linspace(args.start, args.end, args.steps)]
     # open --out first: an unwritable path fails before any work, and a
@@ -93,11 +90,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace_estimate(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= 5:
-        print("n must lie in [2, 5]", file=sys.stderr)
-        return 2
+        raise ValueError("n must lie in [2, 5]")
     if not 0 <= args.alpha <= 1:
-        print("alpha must lie in [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("alpha must lie in [0, 1]")
     state = build_dqc1_state(build_un(canonical_blocks(), args.n), args.alpha)
     exact_x, exact_y = expectation_xy(state)
     est = sample_trace_estimate(state, args.shots, args.seed)
@@ -152,8 +147,7 @@ def _jsonable(obj):
 
 def cmd_separability(args: argparse.Namespace) -> int:
     if not 0 <= args.alpha <= 1:
-        print("alpha must lie in [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("alpha must lie in [0, 1]")
     verdict = full_separability_verdict(args.alpha)
     if args.json:
         print(json.dumps({"alpha": args.alpha, "status": verdict.status.value,
@@ -173,11 +167,9 @@ def cmd_separability(args: argparse.Namespace) -> int:
 
 def cmd_activate(args: argparse.Namespace) -> int:
     if not 0 <= args.alpha <= 1:
-        print("alpha must lie in [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("alpha must lie in [0, 1]")
     if args.strategies < 1:
-        print("strategies must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("strategies must be >= 1")
     results = activation_sweep([args.alpha], strategies=args.strategies, seed=args.seed)
     values = [r.multiplicative_negativity for r in results]
     if args.json:

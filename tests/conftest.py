@@ -28,6 +28,22 @@ def random_product_state(rng: np.random.Generator, num_qubits: int) -> DensityMa
     return DensityMatrix(m, num_qubits)
 
 
+def cnot(control: int, target: int, num_qubits: int) -> np.ndarray:
+    """Dense permutation unitary flipping ``target`` conditioned on ``control``."""
+    if control == target:
+        raise ValueError("control and target must differ")
+    if not (0 <= control < num_qubits and 0 <= target < num_qubits):
+        raise ValueError(f"qubit index out of range for {num_qubits} qubits")
+    dim = 2**num_qubits
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    cbit = num_qubits - 1 - control
+    tbit = num_qubits - 1 - target
+    for b in range(dim):
+        out = b ^ (((b >> cbit) & 1) << tbit)
+        m[out, b] = 1
+    return m
+
+
 def oracle_partial_transpose(m: np.ndarray, num_qubits: int, cut) -> np.ndarray:
     """Index-arithmetic partial transpose, independent of axis swapping."""
     dim = 2**num_qubits

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from conftest import oracle_partial_transpose, random_density_matrix
+from conftest import cnot, oracle_partial_transpose, random_density_matrix
 
 import dqc1lab as d
-from dqc1lab.activation import _copy_to_ancillas
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -32,7 +31,7 @@ def activation_oracle(rho, unitaries):
 
 
 def test_cnot_basic_action():
-    g = d.cnot(0, 1, 2)
+    g = cnot(0, 1, 2)
     one_zero = np.zeros(4)
     one_zero[2] = 1  # |10>
     assert np.argmax(np.abs(g @ one_zero)) == 3  # |11>
@@ -40,7 +39,7 @@ def test_cnot_basic_action():
 
 
 def test_cnot_on_six_qubits():
-    g = d.cnot(0, 3, 6)
+    g = cnot(0, 3, 6)
     src = np.zeros(64)
     src[0b100000] = 1
     assert np.argmax(np.abs(g @ src)) == 0b100100
@@ -48,9 +47,9 @@ def test_cnot_on_six_qubits():
 
 def test_cnot_rejects_index_clash():
     with pytest.raises(ValueError):
-        d.cnot(1, 1, 3)
+        cnot(1, 1, 3)
     with pytest.raises(ValueError):
-        d.cnot(0, 7, 3)
+        cnot(0, 7, 3)
 
 
 def test_activation_of_maximally_mixed_is_one():
@@ -124,27 +123,28 @@ def test_intermediate_states_stay_valid():
     big = v @ big @ v.conj().T
     d.DensityMatrix((big + big.conj().T) / 2, 6)
     for i in range(3):
-        g = d.cnot(i, i + 3, 6)
+        g = cnot(i, i + 3, 6)
         big = g @ big @ g.conj().T
         d.DensityMatrix((big + big.conj().T) / 2, 6)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
 def test_copy_permutation_matches_dense_cnot_sandwich_bitwise(alpha):
-    # the identity and the 25 seeded strategies of the reproduce battery
+    # the identity and the 25 seeded strategies of the reproduce battery,
+    # on rho3 (real) and on 20 seeded random complex states
     pool = [r.strategy for r in d.activation_sweep([alpha], strategies=26, seed=2024)]
-    rho = d.rho3(alpha).state
+    rng = np.random.default_rng(int(alpha * 10))
+    cases = [(d.rho3(alpha).state, strategy) for strategy in pool]
+    cases += [(random_density_matrix(rng, 3), pool[k % len(pool)]) for k in range(20)]
     anc = np.zeros((8, 8), dtype=complex)
     anc[0, 0] = 1.0
     eye = np.eye(2, dtype=complex)
-    for strategy in pool:
+    for rho, strategy in cases:
         v = d.kron_all(*strategy.unitaries, eye, eye, eye)
-        big = v @ np.kron(rho.matrix, anc) @ v.conj().T
-        dense = big
+        dense = v @ np.kron(rho.matrix, anc) @ v.conj().T
         for i in range(3):
-            g = d.cnot(i, i + 3, 6)
+            g = cnot(i, i + 3, 6)
             dense = g @ dense @ g.conj().T
-        assert np.array_equal(_copy_to_ancillas(big), dense)
         dense = (dense + dense.conj().T) / 2
         expected = d.trace_norm(d.partial_transpose(d.DensityMatrix(dense, 6), (3, 4, 5)))
         assert d.activate(rho, strategy, alpha=alpha).multiplicative_negativity == expected
@@ -159,10 +159,24 @@ def test_ancilla_relabeling_invariance():
     for pairing in ((3, 4, 5), (5, 3, 4), (4, 5, 3)):
         state = big.copy()
         for i, target in enumerate(pairing):
-            g = d.cnot(i, target, 6)
+            g = cnot(i, target, 6)
             state = g @ state @ g.conj().T
         value = d.trace_norm(d.partial_transpose_matrix(state, 6, (3, 4, 5)))
         assert value == pytest.approx(1 + 0.6, abs=1e-10)
+
+
+@pytest.mark.parametrize("strategy", [d.AdversaryStrategy.identity(),
+                                      d.AdversaryStrategy.random(3)])
+def test_activate_rejects_a_state_built_around_admission(strategy):
+    # a diagonal state with eigenvalue -1e-6 that skipped DensityMatrix
+    # validation: the protocol must still refuse it at its own admission
+    m = np.diag([0.5 + 1e-6, -1e-6, 0.5, 0, 0, 0, 0, 0]).astype(complex)
+    assert np.linalg.eigvalsh(m).min() < -1e-10
+    rho = object.__new__(d.DensityMatrix)
+    object.__setattr__(rho, "matrix", m)
+    object.__setattr__(rho, "num_qubits", 3)
+    with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
+        d.activate(rho, strategy)
 
 
 def test_activate_requires_three_qubits():

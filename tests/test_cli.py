@@ -166,6 +166,31 @@ def test_reproduce_json_matches_recorded_digest(reproduce_json):
     assert hashlib.sha256(text.encode()).hexdigest() == REPRODUCE_DIGEST
 
 
+# SHA-256 of `activate --alpha A --strategies 26 --seed S --json` as first
+# recorded, from the copied six-qubit state built by dense products; the
+# 8x8 route must reproduce these bytes exactly
+ACTIVATE_DIGESTS = {
+    ("0.1", "0"): "46ce3128f3a9fedbcc14fa2365740aa9988c2f7d433b7075a9e82f8d530fc1be",
+    ("0.1", "7"): "58bd62b49e99f6a157e2681b8e87e08d9e5c007e6b20721d5c6d864ee4e8e918",
+    ("0.1", "123456"): "aee5761861fe8125598ae2ec2f13713ad2f1d34331b371f4c9d332b0479fdd05",
+    ("0.5", "0"): "8c4d7872932e532c2a897ff821f561fd5d327addc48bb50042077deb1e5a0120",
+    ("0.5", "7"): "6dc6ca7bbc8a0d7264c2a0487597997e67b4cf3cce6ffd6f488f1f2638219e09",
+    ("0.5", "123456"): "ff76fcb70ed5f5617b9ab8506be699d68d3e39b0fd0c3e8bb140cb0395bbe5b2",
+    ("1", "0"): "fdde41cc7c8610bdee6b953196d5f0a5c93b8b918abe9365a077de2c82b76117",
+    ("1", "7"): "de59753de6e0bf7ede3dc884c6b989a6ff0e5b45f74c5cbf0f5afac2ffaf7be3",
+    ("1", "123456"): "ee3d6392f55207e6e9dafea138e8d10a6c32b1f3e0309059457e1dd318a636b9",
+}
+
+
+@pytest.mark.parametrize("alpha,seed", ACTIVATE_DIGESTS)
+def test_activate_json_bytes_match_recorded_digest(alpha, seed, capsys):
+    code = main(["activate", "--alpha", alpha, "--strategies", "26",
+                 "--seed", seed, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ACTIVATE_DIGESTS[alpha, seed]
+
+
 def test_separability_sweep_builds_canonical_unitary_once(monkeypatch, capsys):
     from dqc1lab import dqc1
 
@@ -363,6 +388,29 @@ def test_sweep_rejects_bad_range(capsys):
     assert main(["sweep", "--quantity", "discord", "--start", "0.9",
                  "--end", "0.1"]) == 2
     assert main(["sweep", "--quantity", "discord", "--steps", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--quantity", "discord", "--start", "nan"],
+    ["sweep", "--quantity", "discord", "--start", "0.9", "--end", "0.1"],
+    ["sweep", "--quantity", "discord", "--steps", "1"],
+    ["sweep", "--quantity", "frobnication"],
+    ["activate", "--alpha", "nan"],
+    ["activate", "--alpha", "0.5", "--strategies", "0"],
+    ["separability", "--alpha", "2"],
+    ["trace-estimate", "--n", "9", "--alpha", "0.5"],
+    ["trace-estimate", "--n", "2", "--alpha", "nan"],
+])
+def test_out_of_range_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_estimate_exact_values(capsys):

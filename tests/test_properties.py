@@ -1,4 +1,5 @@
-"""Property tests of the discord-type measures on random few-qubit states.
+"""Property tests of the discord-type measures and the activation protocol
+on random few-qubit states.
 
 Each example draws a seed and builds its states with the suite's seeded
 random-state helper, so a failure names the seed that reproduces it.
@@ -70,3 +71,19 @@ def test_a_local_unitary_on_an_unmeasured_qubit_leaves_the_correlations(
     base, moved = d.discord(rho, measured, grid=GRID), d.discord(rotated, measured, grid=GRID)
     assert abs(moved.discord - base.discord) <= 1e-9
     assert abs(moved.classical_correlation - base.classical_correlation) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds)
+def test_activation_equals_one_plus_the_off_diagonal_l1_norm(seed):
+    # after the copy gates the partial transpose is a direct sum of the
+    # diagonal entries r_ii and the 2x2 blocks [[0, r_ij], [r_ji, 0]] of
+    # r = U rho U^H, so its trace norm is 1 + sum_{i != j} |r_ij|
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, 3)
+    u0, u1, u2 = (random_unitary(rng, 2) for _ in range(3))
+    strategy = d.AdversaryStrategy.explicit(u0, u1, u2)
+    u = np.kron(np.kron(u0, u1), u2)
+    r = u @ rho.matrix @ u.conj().T
+    l1 = np.abs(r).sum() - np.abs(np.diagonal(r)).sum()
+    assert abs(d.activate(rho, strategy).multiplicative_negativity - (1 + l1)) <= 1e-12
