@@ -12,7 +12,6 @@ from .correlations import (
     MeasurementBasis,
     classical_correlation,
     classical_correlation_many,
-    conditional_entropy,
     discord,
     discord_many,
     is_ppt,
@@ -72,8 +71,8 @@ __all__ = [
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
     "activate", "activation_sweep", "build_dqc1_state",
     "build_un", "canonical_blocks", "classical_correlation",
-    "classical_correlation_many", "conditional_entropy",
-    "decompose_rho3", "discord", "discord_many", "eta_state",
+    "classical_correlation_many", "decompose_rho3", "discord", "discord_many",
+    "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",
     "ghz_reconstruct", "hermitian_eigensystem", "hermitian_eigenvalues",
     "is_ppt", "kay_criterion", "kron", "kron_all", "maximally_mixed",

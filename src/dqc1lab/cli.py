@@ -25,13 +25,15 @@ from .dqc1 import (
 from .reproduce import CLOSED_FORM_TOL, QUANTITIES, run_reproduce
 from .separability import Verdict, full_separability_verdict
 
+MAX_STEPS = 2**60 - 1  # the most float64 values one numpy array can hold
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    report = run_reproduce(perturb=args.perturb)
+    report = run_reproduce()
     if args.json:
         payload = {
             "all_passed": report.all_passed,
@@ -58,8 +60,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"{', '.join(sorted(QUANTITIES))}")
     if not (0 <= args.start <= args.end <= 1):
         raise ValueError("require 0 <= start <= end <= 1")
-    if args.steps < 2:
-        raise ValueError("steps must be >= 2")
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [2, 2**60 - 1], got {args.steps}")
     value_fn, closed_fn = QUANTITIES[args.quantity]
     alphas = [float(a) for a in np.linspace(args.start, args.end, args.steps)]
     # open --out first: an unwritable path fails before any work, and a
@@ -200,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run every closed-form and property check")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="test hook: inject a diagonal defect of this size "
-                        "into the three-qubit state")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("sweep", help="CSV sweep of one quantity over alpha")

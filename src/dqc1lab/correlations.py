@@ -8,7 +8,6 @@ partial transpose and is exactly 1 for PPT states.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,9 +16,7 @@ import numpy as np
 from . import _kernels
 from .linalg import (
     DensityMatrix,
-    ZERO_EIGENVALUE_TOL,
     _check_cut,
-    entropy_of_spectrum,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
@@ -51,17 +48,6 @@ class MeasurementBasis:
             raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi < 2 * np.pi:
             raise ValueError("phi must lie in [0, 2*pi)")
-
-    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        ct, st = np.cos(self.theta / 2), np.sin(self.theta / 2)
-        ph = np.exp(1j * self.phi)
-        v0 = np.array([ct, st * ph], dtype=np.complex128)
-        v1 = np.array([st, -ct * ph], dtype=np.complex128)
-        return v0, v1
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        v0, v1 = self.vectors()
-        return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
 @dataclass(frozen=True)
@@ -111,32 +97,6 @@ def _measured_qubit_blocks(rho: DensityMatrix, measured_qubit: int) -> np.ndarra
     # bring the measured qubit to the front of both index groups
     t = np.moveaxis(t, (measured_qubit, n + measured_qubit), (0, n))
     return np.ascontiguousarray(t.reshape(2, d, 2, d).transpose(0, 2, 1, 3))
-
-
-def conditional_entropy(rho: DensityMatrix, measured_qubit: int,
-                        basis: MeasurementBasis) -> float:
-    """Average post-measurement entropy sum_k p_k S(rho_k), in bits.
-
-    rho_k is the normalized state after projecting the measured qubit
-    onto outcome k; outcomes with probability below 1e-12 contribute
-    zero.  Implemented with full-space projector sandwiches, which the
-    grid kernels must agree with (cross-checked in the tests).
-    """
-    n = rho.num_qubits
-    if not 0 <= measured_qubit < n:
-        raise ValueError(f"measured qubit {measured_qubit} out of range")
-    b0, b1 = basis.projectors()
-    total = 0.0
-    for b in (b0, b1):
-        op = np.array([[1.0 + 0j]])
-        for q in range(n):
-            op = np.kron(op, b if q == measured_qubit else np.eye(2))
-        sandwich = op @ rho.matrix @ op
-        p = float(np.trace(sandwich).real)
-        if p > ZERO_EIGENVALUE_TOL:
-            w = np.linalg.eigvalsh((sandwich + sandwich.conj().T) / 2 / p)
-            total += p * entropy_of_spectrum(w)
-    return total
 
 
 def _descent(theta: float, phi: float, step_theta: float, step_phi: float,
@@ -200,17 +160,6 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     return results
 
 
-def _check_grid(grid) -> tuple[int, int]:
-    try:
-        n_theta, n_phi = (operator.index(n) for n in grid)
-    except (TypeError, ValueError):
-        n_theta = n_phi = 0
-    if n_theta < 2 or n_phi < 1:
-        raise ValueError(f"grid must be integers (n_theta, n_phi) with n_theta >= 2 "
-                         f"and n_phi >= 1, got {grid!r}")
-    return n_theta, n_phi
-
-
 def _class_representatives(n_theta: int, n_phi: int, real: bool) -> np.ndarray:
     """Smallest flat index among each grid cell's equivalent cells.
 
@@ -255,24 +204,21 @@ def _grid_start_cells(blocks: np.ndarray,
     return tg[order], pg[order]
 
 
-def classical_correlation_many(rhos: Sequence[DensityMatrix], measured_qubit: int,
-                               grid: tuple[int, int] = DEFAULT_GRID,
-                               refine_tol: float = REFINE_TOL,
-                               ) -> list[tuple[float, MeasurementBasis]]:
+def classical_correlation_many(rhos: Sequence[DensityMatrix],
+                               measured_qubit: int) -> list[tuple[float, MeasurementBasis]]:
     """Largest measurement-extractable correlation of each state, with its basis.
 
     Maximizes S(unmeasured) - sum_k p_k S(rho_k) over rank-1 projective
-    measurements of one qubit: a dense theta x phi grid (default 64x128)
-    seeds coordinate-shrinking refinement from the 5 best cells, down to
-    1e-7 in the objective.  Each state's grid takes one or two kernel
-    calls; the start cells of all states are then refined in one
-    lock-step, one kernel call per step, each along the same path it
-    would take alone, so a state's result does not depend on the others.
-    Each result is a certified lower bound on the supremum; ties in the
-    optimum location break toward the smallest (theta, phi) pair.  The
-    states must all have the same number of qubits.
+    measurements of one qubit: the 64x128 theta x phi grid seeds
+    coordinate-shrinking refinement from its 5 best cells, down to 1e-7
+    in the objective.  Each state's grid takes one or two kernel calls;
+    the start cells of all states are then refined in one lock-step, one
+    kernel call per step, each along the same path it would take alone,
+    so a state's result does not depend on the others.  Each result is a
+    certified lower bound on the supremum; ties in the optimum location
+    break toward the smallest (theta, phi) pair.  The states must all
+    have the same number of qubits.
     """
-    n_theta, n_phi = _check_grid(grid)
     if len({rho.num_qubits for rho in rhos}) > 1:
         raise ValueError("states must all have the same number of qubits")
     blocks, s_rest, thetas, phis = [], [], [], []
@@ -283,46 +229,42 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix], measured_qubit: in
         b = _measured_qubit_blocks(rho, measured_qubit)
         unmeasured = tuple(q for q in range(n) if q != measured_qubit)
         s_rest.append(von_neumann_entropy(partial_trace(rho, unmeasured)))
-        t, p = _grid_start_cells(b, (n_theta, n_phi))
+        t, p = _grid_start_cells(b, DEFAULT_GRID)
         blocks.append(b)
         thetas.append(t)
         phis.append(p)
     if not blocks:
         return []
 
+    n_theta, n_phi = DEFAULT_GRID
     per_state = thetas[0].size  # every state has the same grid
     candidates = _refine(np.repeat(np.stack(blocks), per_state, axis=0),
                          np.concatenate(thetas), np.concatenate(phis),
-                         np.pi / (n_theta - 1), 2 * np.pi / n_phi, refine_tol)
+                         np.pi / (n_theta - 1), 2 * np.pi / n_phi, REFINE_TOL)
     results = []
     for i, s in enumerate(s_rest):
         own = candidates[i * per_state:(i + 1) * per_state]
         best_val = min(c[0] for c in own)
         # lexicographic tie-break among refined optima within the objective tolerance
-        tied = sorted((t, p) for val, t, p in own if val <= best_val + refine_tol)
+        tied = sorted((t, p) for val, t, p in own if val <= best_val + REFINE_TOL)
         theta, phi = tied[0]
         results.append((s - best_val, MeasurementBasis(theta=float(theta), phi=float(phi))))
     return results
 
 
-def classical_correlation(rho: DensityMatrix, measured_qubit: int,
-                          grid: tuple[int, int] = DEFAULT_GRID,
-                          refine_tol: float = REFINE_TOL,
-                          ) -> tuple[float, MeasurementBasis]:
+def classical_correlation(rho: DensityMatrix,
+                          measured_qubit: int) -> tuple[float, MeasurementBasis]:
     """``classical_correlation_many`` of one state."""
-    return classical_correlation_many([rho], measured_qubit, grid, refine_tol)[0]
+    return classical_correlation_many([rho], measured_qubit)[0]
 
 
-def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int,
-                 grid: tuple[int, int] = DEFAULT_GRID,
-                 refine_tol: float = REFINE_TOL) -> list[DiscordResult]:
+def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int) -> list[DiscordResult]:
     """Mutual information across the measured-qubit cut minus the
     classical correlation, per state; small negative residues above
     -1e-9 clamp to 0.  The classical correlations share one lock-step."""
     mis = [mutual_information(rho, (measured_qubit,)) for rho in rhos]
     results = []
-    for mi, (cc, basis) in zip(mis, classical_correlation_many(
-            rhos, measured_qubit, grid, refine_tol)):
+    for mi, (cc, basis) in zip(mis, classical_correlation_many(rhos, measured_qubit)):
         q = mi - cc
         if q < -NEGATIVITY_CLAMP:
             raise RuntimeError(
@@ -337,8 +279,6 @@ def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int,
     return results
 
 
-def discord(rho: DensityMatrix, measured_qubit: int,
-            grid: tuple[int, int] = DEFAULT_GRID,
-            refine_tol: float = REFINE_TOL) -> DiscordResult:
+def discord(rho: DensityMatrix, measured_qubit: int) -> DiscordResult:
     """``discord_many`` of one state."""
-    return discord_many([rho], measured_qubit, grid, refine_tol)[0]
+    return discord_many([rho], measured_qubit)[0]

@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import DensityMatrix, _as_complex_matrix, kron_all
 
 UNITARITY_TOL = 1e-12
-DEFAULT_MAX_REGISTER = 5
+MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
 
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -114,7 +114,7 @@ class TraceEstimate:
     seed: int
 
 
-def build_un(spec: UnitaryBlockSpec, n: int, max_register: int = DEFAULT_MAX_REGISTER) -> np.ndarray:
+def build_un(spec: UnitaryBlockSpec, n: int) -> np.ndarray:
     """Assemble the n-register-qubit unitary from the block spec.
 
     Layout: the most significant register qubit indexes the 2x2 block
@@ -123,8 +123,8 @@ def build_un(spec: UnitaryBlockSpec, n: int, max_register: int = DEFAULT_MAX_REG
     """
     if n < 2:
         raise ValueError("register size must be >= 2")
-    if n > max_register:
-        raise ValueError(f"register size {n} exceeds maximum {max_register}")
+    if n > MAX_REGISTER:
+        raise ValueError(f"register size {n} exceeds maximum {MAX_REGISTER}")
     spec.validate()
     eye = np.eye(2 ** (n - 2), dtype=np.complex128)
     xs = kron_all(*([PAULI_X] * (n - 2))) if n > 2 else np.array([[1.0 + 0j]])

@@ -64,14 +64,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
-        m = _as_complex_matrix(m)
-        n = int(round(np.log2(m.shape[0])))
-        if 2**n != m.shape[0]:
-            raise ValueError(f"dimension {m.shape[0]} is not a power of 2")
-        return cls(m, n)
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -140,16 +140,6 @@ class ReproduceReport:
             passed=bool(value > threshold), note=note))
 
 
-def _rho3_state(alpha: float, perturb: float) -> DensityMatrix:
-    state = rho3(alpha).state
-    if perturb == 0.0:
-        return state
-    # mixing toward a pure state keeps the defect admissible at any size
-    spike = np.zeros((8, 8), dtype=np.complex128)
-    spike[0, 0] = 1.0
-    return DensityMatrix((1 - perturb) * state.matrix + perturb * spike, 3)
-
-
 def _pt_spectrum_closed_form(alpha: float) -> np.ndarray:
     return np.sort(np.array([(1 + 2 * alpha) / 8] + [1 / 8] * 6 + [(1 - 2 * alpha) / 8]))
 
@@ -162,11 +152,8 @@ def _random_density_matrix(rng: np.random.Generator, num_qubits: int) -> Density
     return DensityMatrix((m + m.conj().T) / 2, num_qubits)
 
 
-def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
-    """Run the full battery; ``perturb`` is a test hook that injects a
-    diagonal defect of the given size into the three-qubit state."""
-    if not 0.0 <= perturb <= 1.0:
-        raise ValueError(f"perturb must be a finite number in [0, 1], got {perturb}")
+def run_reproduce() -> ReproduceReport:
+    """Run the full battery."""
     report = ReproduceReport()
     negativity_closed_form = QUANTITIES["mult-negativity"][1]
     activation_closed_form = QUANTITIES["activated-negativity"][1]
@@ -176,7 +163,7 @@ def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
     pt_dev = neg_dev = split_dev = pattern_dev = lam5_dev = 0.0
     ppt_mistakes = verdict_mistakes = 0
     for a in ALPHA_GRID:
-        state = _rho3_state(a, perturb)
+        state = rho3(a).state
 
         # partial-transpose spectrum across the register cut
         spectrum = np.sort(hermitian_eigenvalues(
@@ -242,7 +229,7 @@ def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
     hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     eye2 = np.eye(2, dtype=np.complex128)
     best_adversary = AdversaryStrategy.explicit(hadamard, eye2, eye2)
-    coarse = [(a, _rho3_state(a, perturb)) for a in np.linspace(0.0, 1.0, 11)]
+    coarse = [(a, rho3(a).state) for a in np.linspace(0.0, 1.0, 11)]
     dev = max(
         abs(activate(state, best_adversary, alpha=a).multiplicative_negativity
             - (8 + 4 * a) / 8)
@@ -262,8 +249,8 @@ def run_reproduce(perturb: float = 0.0) -> ReproduceReport:
 
     # discord across the clean-qubit cut and on a register qubit: one
     # optimizer lock-step per measured qubit
-    discord_states = [_rho3_state(a, perturb) for a in (0.1, 0.25, 0.5)]
-    *clean, at_zero = discord_many(discord_states + [_rho3_state(0.0, perturb)], 0)
+    discord_states = [rho3(a).state for a in (0.1, 0.25, 0.5)]
+    *clean, at_zero = discord_many(discord_states + [rho3(0.0).state], 0)
     report.add_threshold(
         "discord-positive-range", min(r.discord for r in clean), 1e-4,
         "published positivity claim for measurement on the clean qubit; the "

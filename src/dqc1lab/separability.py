@@ -146,14 +146,18 @@ def omega_state(alpha: float) -> DensityMatrix:
     return DensityMatrix(m / (8 - 4 * alpha), 3)
 
 
-@functools.cache
-def eta_state() -> DensityMatrix:
-    """Even mixture of the product vectors |+>|0>|1> and |+>|1>|0>; built once."""
+def _eta_components() -> tuple[np.ndarray, np.ndarray]:
+    """The product vectors |+>|0>|1> and |+>|1>|0> that eta mixes."""
     plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
     zero = np.array([1, 0], dtype=np.complex128)
     one = np.array([0, 1], dtype=np.complex128)
-    phi = np.kron(np.kron(plus, zero), one)
-    psi = np.kron(np.kron(plus, one), zero)
+    return np.kron(np.kron(plus, zero), one), np.kron(np.kron(plus, one), zero)
+
+
+@functools.cache
+def eta_state() -> DensityMatrix:
+    """Even mixture of the product vectors |+>|0>|1> and |+>|1>|0>; built once."""
+    phi, psi = _eta_components()
     m = (np.outer(phi, phi.conj()) + np.outer(psi, psi.conj())) / 2
     return DensityMatrix(m, 3)
 
@@ -175,8 +179,10 @@ def product_vector_purities(state: DensityMatrix) -> list[float]:
 
 
 @functools.cache
-def _eta_component_purities() -> tuple[float, ...]:
-    return tuple(product_vector_purities(eta_state()))
+def _eta_component_purities() -> tuple[tuple[float, ...], ...]:
+    """Single-qubit purities of each pure component of eta, all 1."""
+    return tuple(tuple(product_vector_purities(DensityMatrix(np.outer(v, v.conj()), 3)))
+                 for v in _eta_components())
 
 
 def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
@@ -198,7 +204,7 @@ def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
             "weights": (w1, w2),
             "reconstruction_residual": residual,
             "ghz_part_verdict": kay,
-            "eta_component_purities": list(_eta_component_purities()),
+            "eta_component_purities": [list(p) for p in _eta_component_purities()],
         }
         if kay.status is not Verdict.FULLY_SEPARABLE:
             return SeparabilityVerdict(Verdict.INCONCLUSIVE, certificate)

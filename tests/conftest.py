@@ -44,6 +44,37 @@ def cnot(control: int, target: int, num_qubits: int) -> np.ndarray:
     return m
 
 
+def measurement_projectors(basis) -> tuple[np.ndarray, np.ndarray]:
+    """The two rank-1 projectors of a ``MeasurementBasis``: onto
+    cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> and its orthogonal complement."""
+    ct, st = np.cos(basis.theta / 2), np.sin(basis.theta / 2)
+    ph = np.exp(1j * basis.phi)
+    v0 = np.array([ct, st * ph], dtype=np.complex128)
+    v1 = np.array([st, -ct * ph], dtype=np.complex128)
+    return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
+
+
+def conditional_entropy(rho: DensityMatrix, measured_qubit: int, basis) -> float:
+    """Average post-measurement entropy sum_k p_k S(rho_k), in bits.
+
+    rho_k is the normalized state after projecting the measured qubit
+    onto outcome k, by full-space projector sandwiches; outcomes with
+    probability below 1e-12 contribute zero.
+    """
+    total = 0.0
+    for b in measurement_projectors(basis):
+        op = np.array([[1.0 + 0j]])
+        for q in range(rho.num_qubits):
+            op = np.kron(op, b if q == measured_qubit else np.eye(2))
+        sandwich = op @ rho.matrix @ op
+        p = float(np.trace(sandwich).real)
+        if p > 1e-12:
+            w = np.linalg.eigvalsh((sandwich + sandwich.conj().T) / 2 / p)
+            w = w[w > 1e-12]
+            total += p * float(-(w * np.log2(w)).sum())
+    return total
+
+
 def oracle_partial_transpose(m: np.ndarray, num_qubits: int, cut) -> np.ndarray:
     """Index-arithmetic partial transpose, independent of axis swapping."""
     dim = 2**num_qubits

@@ -5,6 +5,8 @@ import pytest
 from conftest import (
     GRID_ORDER,
     POINT_ORDER,
+    conditional_entropy,
+    measurement_projectors,
     oracle_entropy_grid,
     random_density_matrix,
     random_product_state,
@@ -151,7 +153,7 @@ def test_conditional_entropy_of_product_state():
     joint = d.DensityMatrix(np.kron(a.matrix, rest.matrix), 3)
     s_rest = d.von_neumann_entropy(rest)
     for theta, phi in ((0.0, 0.0), (np.pi / 2, 0.3), (1.1, 4.0)):
-        got = d.conditional_entropy(joint, 0, d.MeasurementBasis(theta, phi))
+        got = conditional_entropy(joint, 0, d.MeasurementBasis(theta, phi))
         assert got == pytest.approx(s_rest, abs=1e-10)
 
 
@@ -161,13 +163,13 @@ def test_conditional_entropy_of_classical_mixture_in_z_basis():
     p = 0.3
     joint = d.DensityMatrix(
         np.kron(np.diag([p, 1 - p]).astype(complex), rest.matrix), 2)
-    got = d.conditional_entropy(joint, 0, d.MeasurementBasis(0.0, 0.0))
+    got = conditional_entropy(joint, 0, d.MeasurementBasis(0.0, 0.0))
     assert got == pytest.approx(d.von_neumann_entropy(rest), abs=1e-12)
 
 
 def test_conditional_entropy_rho3_z_basis():
     # both Z outcomes leave the register maximally mixed: 2 bits each
-    got = d.conditional_entropy(d.rho3(1.0).state, 0, d.MeasurementBasis(0.0, 0.0))
+    got = conditional_entropy(d.rho3(1.0).state, 0, d.MeasurementBasis(0.0, 0.0))
     assert got == pytest.approx(2.0, abs=1e-12)
 
 
@@ -176,7 +178,7 @@ def test_conditional_entropy_skips_zero_probability_outcome():
     rest = random_density_matrix(rng, 1)
     joint = d.DensityMatrix(
         np.kron(np.diag([0.0, 1.0]).astype(complex), rest.matrix), 2)
-    got = d.conditional_entropy(joint, 0, d.MeasurementBasis(0.0, 0.0))
+    got = conditional_entropy(joint, 0, d.MeasurementBasis(0.0, 0.0))
     assert got == pytest.approx(d.von_neumann_entropy(rest), abs=1e-12)
 
 
@@ -190,7 +192,7 @@ def test_grid_kernel_agrees_with_projector_route():
             phis = rng.uniform(0, 2 * np.pi, 8)
             grid_vals = _kernels.conditional_entropy_grid(blocks, thetas, phis)
             for t, p, g in zip(thetas, phis, grid_vals):
-                full = d.conditional_entropy(rho, q, d.MeasurementBasis(t, p))
+                full = conditional_entropy(rho, q, d.MeasurementBasis(t, p))
                 assert abs(full - g) < 1e-11
 
 
@@ -234,10 +236,10 @@ def full_grid(grid):
     return tg.ravel(), pg.ravel()
 
 
-def grid_start_cells(blocks, grid=(64, 128)):
+def grid_start_cells(blocks):
     """The 5 best grid cells and the grid steps, as classical_correlation seeds them."""
-    n_theta, n_phi = grid
-    thetas, phis = full_grid(grid)
+    n_theta, n_phi = 64, 128
+    thetas, phis = full_grid((n_theta, n_phi))
     values = oracle_entropy_grid(blocks, thetas, phis, GRID_ORDER)
     order = np.argsort(values, kind="stable")[:5]
     return thetas[order], phis[order], np.pi / (n_theta - 1), 2 * np.pi / n_phi
@@ -278,13 +280,13 @@ def tie_break(candidates, tol):
     return sorted((t, p) for val, t, p in candidates if val <= best + tol)[0]
 
 
-def sequential_classical_correlation(rho, qubit, grid=(64, 128)):
+def sequential_classical_correlation(rho, qubit):
     """Reference classical correlation: oracle grid, then each start cell alone.
 
     Returns (value, (theta, phi)).
     """
     blocks = _measured_qubit_blocks(rho, qubit)
-    thetas, phis, st, sp = grid_start_cells(blocks, grid)
+    thetas, phis, st, sp = grid_start_cells(blocks)
     candidates = [sequential_refine(blocks, t, p, st, sp, REFINE_TOL)[0]
                   for t, p in zip(thetas, phis)]
     rest = tuple(q for q in range(rho.num_qubits) if q != qubit)
@@ -333,9 +335,9 @@ def test_lockstep_refine_matches_sequential_descent_on_random_states():
     for n in (2, 3, 4):
         states = [random_density_matrix(rng, n) for _ in range(2)]
         for q in range(n):
-            got = d.classical_correlation_many(states, q, grid=(16, 32))
+            got = d.classical_correlation_many(states, q)
             for rho, (value, basis) in zip(states, got):
-                want_value, want_basis = sequential_classical_correlation(rho, q, (16, 32))
+                want_value, want_basis = sequential_classical_correlation(rho, q)
                 assert abs(value - want_value) < 1e-12
                 assert (basis.theta, basis.phi) == want_basis
 
@@ -446,18 +448,6 @@ def test_grid_order_gives_a_cell_the_same_bits_in_any_subset(size):
         assert np.array_equal(got, full[cells])
 
 
-@pytest.mark.parametrize("grid", [(1, 8), (0, 4), (8, 0), (8.0, 16), (8,), "ab", None])
-def test_classical_correlation_rejects_bad_grids(grid):
-    with pytest.raises(ValueError, match="grid"):
-        d.classical_correlation(d.rho3(0.5).state, 0, grid=grid)
-
-
-def test_grids_with_fewer_than_five_cells_still_work():
-    value, _ = d.classical_correlation(d.rho3(0.5).state, 0, grid=(2, 2))
-    assert np.isfinite(value)
-    assert d.discord(d.rho3(0.5).state, 1, grid=(2, 1)).discord >= 0.0
-
-
 # --------------------------------------------------------------------------
 # classical correlation
 # --------------------------------------------------------------------------
@@ -535,7 +525,7 @@ def test_rho3_register_qubit_discord_matches_constancy_oracle():
     for a in (0.1, 0.25, 0.5, 1.0):
         rho = d.rho3(a).state
         values = [
-            d.conditional_entropy(rho, 1, d.MeasurementBasis(t, p))
+            conditional_entropy(rho, 1, d.MeasurementBasis(t, p))
             for t, p in zip(rng.uniform(0, np.pi, 12), rng.uniform(0, 2 * np.pi, 12))
         ]
         assert np.ptp(values) < 1e-10
@@ -591,7 +581,7 @@ def test_measurement_basis_projectors_complete():
     rng = np.random.default_rng(46)
     for _ in range(20):
         basis = d.MeasurementBasis(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        b0, b1 = basis.projectors()
+        b0, b1 = measurement_projectors(basis)
         assert np.abs(b0 + b1 - np.eye(2)).max() < 1e-12
         assert np.abs(b0 @ b1).max() < 1e-12
 

@@ -68,9 +68,9 @@ def test_build_un_rejects_non_unitary_blocks():
 
 
 def test_build_un_register_cap():
-    with pytest.raises(ValueError, match="maximum"):
+    with pytest.raises(ValueError, match="maximum 5"):
         d.build_un(d.canonical_blocks(), 6)
-    d.build_un(d.canonical_blocks(), 6, max_register=6)
+    assert d.build_un(d.canonical_blocks(), 5).shape == (32, 32)
 
 
 def test_random_block_specs_build_valid_states():

@@ -258,7 +258,10 @@ def test_full_separability_certificate_contents():
     cert = verdict.certificate
     assert cert["reconstruction_residual"] <= 1e-12
     assert cert["ghz_part_verdict"].status is d.Verdict.FULLY_SEPARABLE
-    assert all(abs(p - 1.0) < 1e-12 or p <= 1.0 for p in cert["eta_component_purities"])
+    # one list per pure component of eta, |+01> and |+10>: each a product vector
+    purities = cert["eta_component_purities"]
+    assert len(purities) == 2
+    assert all(len(p) == 3 and all(abs(q - 1.0) < 1e-12 for q in p) for p in purities)
     w1, w2 = cert["weights"]
     assert w1 + w2 == pytest.approx(1.0)
 
@@ -266,10 +269,15 @@ def test_full_separability_certificate_contents():
 def test_each_certificate_gets_its_own_eta_purities():
     first = d.full_separability_verdict(0.3).certificate["eta_component_purities"]
     second = d.full_separability_verdict(0.4).certificate["eta_component_purities"]
-    assert first == second == d.separability.product_vector_purities(d.eta_state())
+    components = [d.DensityMatrix(np.outer(v, v.conj()), 3)
+                  for v in d.separability._eta_components()]
+    assert first == second == [d.separability.product_vector_purities(c)
+                               for c in components]
+    first[0].clear()
     first.clear()
-    assert len(second) == 3
-    assert len(d.full_separability_verdict(0.3).certificate["eta_component_purities"]) == 3
+    assert len(second) == 2 and len(second[0]) == 3
+    third = d.full_separability_verdict(0.3).certificate["eta_component_purities"]
+    assert [len(p) for p in third] == [3, 3]
 
 
 def test_witness_eigenvalue_matches_pt_spectrum():
