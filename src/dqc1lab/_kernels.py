@@ -19,6 +19,7 @@ import numpy as np
 
 _EIG_FLOOR = 1e-12
 _PROB_FLOOR = 1e-12
+_SLICE = 512
 
 
 def _conditional_blocks(blocks: np.ndarray, cv: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -55,8 +56,20 @@ def conditional_entropy_grid(blocks: np.ndarray, thetas: np.ndarray,
     """Measurement objective at each (theta, phi) pair.
 
     ``blocks`` is either one state's (2, 2, d, d) blocks, shared by every
-    point, or (g, 2, 2, d, d) blocks, one state per point.
+    point, or (g, 2, 2, d, d) blocks, one state per point.  Points run in
+    slices of ``_SLICE``, which bounds the temporaries; no cell's bits
+    depend on the other cells of its call.
     """
+    total = np.empty(thetas.size)
+    for start in range(0, thetas.size, _SLICE):
+        s = slice(start, start + _SLICE)
+        total[s] = _slice_objective(blocks if blocks.ndim == 4 else blocks[s],
+                                    thetas[s], phis[s])
+    return total
+
+
+def _slice_objective(blocks: np.ndarray, thetas: np.ndarray,
+                     phis: np.ndarray) -> np.ndarray:
     ct = np.cos(thetas / 2)
     st = np.sin(thetas / 2)
     ph = np.exp(1j * phis)

@@ -19,6 +19,8 @@ from .linalg import DensityMatrix, _as_complex_matrix, partial_transpose_matrix,
 
 UNITARY_TOL = 1e-12
 ANCILLA_CUT = (3, 4, 5)
+#: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
+MAX_STRATEGIES = 100_000
 
 #: The copy gates map |s>|000> to |s>|s>, six-qubit index 8s + s = 9s.
 _COPIED = 9 * np.arange(8)
@@ -115,8 +117,8 @@ def activation_sweep(alphas: Sequence[float], strategies: int,
         raise ValueError("alphas must be nonempty")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alphas must lie in [0, 1]")
-    if strategies < 1:
-        raise ValueError("strategy count must be >= 1")
+    if not 1 <= strategies <= MAX_STRATEGIES:
+        raise ValueError(f"strategy count must lie in [1, {MAX_STRATEGIES}], got {strategies}")
     children = np.random.SeedSequence(seed).spawn(max(strategies - 1, 0))
     pool = [AdversaryStrategy.identity()]
     pool += [AdversaryStrategy.random(int(c.generate_state(1)[0])) for c in children]

@@ -170,8 +170,6 @@ def cmd_separability(args: argparse.Namespace) -> int:
 def cmd_activate(args: argparse.Namespace) -> int:
     if not 0 <= args.alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    if args.strategies < 1:
-        raise ValueError("strategies must be >= 1")
     results = activation_sweep([args.alpha], strategies=args.strategies, seed=args.seed)
     values = [r.multiplicative_negativity for r in results]
     if args.json:
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, work_option="--steps")
 
     p = sub.add_parser("trace-estimate",
                        help="exact and shot-sampled normalized-trace estimation")
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_trace_estimate)
+    p.set_defaults(fn=cmd_trace_estimate, work_option="--shots")
 
     p = sub.add_parser("separability", help="separability verdict at one alpha")
     p.add_argument("--alpha", type=float, required=True)
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strategy count including the identity at index 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_activate)
+    p.set_defaults(fn=cmd_activate, work_option="--strategies")
     return parser
 
 
@@ -245,8 +243,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; request less work (for example fewer --shots)",
-              file=sys.stderr)
+        option = getattr(args, "work_option", None)
+        hint = f"; request less work (for example fewer {option})" if option else ""
+        print(f"error: out of memory{hint}", file=sys.stderr)
         return 2
 
 

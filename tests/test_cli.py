@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dqc1lab
-from dqc1lab import DensityMatrix, cli
+from dqc1lab import DensityMatrix, activation, cli
 from dqc1lab.cli import main
 
 KNOWN_DISCREPANT_CHECKS = {
@@ -408,8 +408,11 @@ def test_sweep_rejects_bad_range(capsys):
     ["sweep", "--quantity", "discord", "--steps", str(2**63 - 1)],
     ["sweep", "--quantity", "discord", "--steps", str(2**63)],
     ["sweep", "--quantity", "discord", "--steps", str(2**64 - 1)],
+    ["activate", "--alpha", "0.5", "--strategies", str(activation.MAX_STRATEGIES + 1)],
 ])
-def test_out_of_range_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
+def test_out_of_range_input_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(activation.AdversaryStrategy, "__post_init__", built.append)
     out_file = tmp_path / "sweep.csv"
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(out_file)]
@@ -419,6 +422,7 @@ def test_out_of_range_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+    assert built == []  # rejected before any strategy is built
 
 
 def test_trace_estimate_exact_values(capsys):
@@ -465,16 +469,25 @@ def test_trace_estimate_rejects_shots_beyond_the_sampler(capsys):
     assert err.count("\n") == 1
 
 
-def test_trace_estimate_out_of_memory_exits_2(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, work, option", [
+    (["reproduce"], "run_reproduce", None),
+    (["sweep", "--quantity", "discord"], "QUANTITIES", "--steps"),
+    (["trace-estimate", "--n", "2", "--alpha", "0.5"], "sample_trace_estimate", "--shots"),
+    (["separability", "--alpha", "0.5"], "full_separability_verdict", None),
+    (["activate", "--alpha", "0.5"], "activation_sweep", "--strategies"),
+], ids=["reproduce", "sweep", "trace-estimate", "separability", "activate"])
+def test_out_of_memory_names_the_option_of_the_command_that_ran(
+        argv, work, option, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "sample_trace_estimate", exhausted)
-    code = main(["trace-estimate", "--n", "2", "--alpha", "0.5"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: out of memory")
-    assert err.count("\n") == 1
+    monkeypatch.setattr(cli, work, {"discord": (exhausted, None)}
+                        if work == "QUANTITIES" else exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    hint = f"; request less work (for example fewer {option})" if option else ""
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory{hint}\n"
 
 
 def test_separability_command(capsys):

@@ -200,7 +200,12 @@ LOCKSTEP_CASES = [(a, q) for a in (0.1, 0.5, 0.9) for q in (0, 1, 2)]
 SWEEP_ALPHAS = np.linspace(0.0, 1.0, 21)
 
 
-@pytest.mark.parametrize("g", [1, 2, 5, 8192])
+# sizes around the kernel's 512-point slices: one short, exact, one over,
+# two slices and one point over, and the full 64x128 grid
+SLICE_SIZES = [511, 512, 513, 1025, 8192]
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, *SLICE_SIZES])
 def test_grid_order_matches_einsum_oracle_bitwise(g):
     rng = np.random.default_rng(49)
     states = [d.rho3(0.5).state] + [random_density_matrix(rng, n) for n in (2, 3, 4)]
@@ -225,6 +230,30 @@ def test_point_order_matches_einsum_oracle_bitwise(g):
             thetas, phis = rng.uniform(0, np.pi, g), rng.uniform(0, 2 * np.pi, g)
             got = _kernels.conditional_entropy_grid(blocks, thetas, phis)
             assert np.array_equal(got, oracle_entropy_grid(blocks, thetas, phis, POINT_ORDER))
+
+
+def point_order_pools():
+    """Stacks of one qubit's blocks to draw per-point states from: rho3 on
+    SWEEP_ALPHAS for each qubit, and 4 seeded random complex states of
+    2, 3 and 4 qubits on their first and last qubit."""
+    rng = np.random.default_rng(53)
+    pools = [np.stack([_measured_qubit_blocks(d.rho3(a).state, q) for a in SWEEP_ALPHAS])
+             for q in (0, 1, 2)]
+    for n in (2, 3, 4):
+        states = [random_density_matrix(rng, n) for _ in range(4)]
+        pools += [np.stack([_measured_qubit_blocks(rho, q) for rho in states])
+                  for q in (0, n - 1)]
+    return pools
+
+
+@pytest.mark.parametrize("g", SLICE_SIZES)
+def test_point_order_matches_einsum_oracle_bitwise_across_slices(g):
+    rng = np.random.default_rng(54)
+    for pool in point_order_pools():
+        blocks = pool[rng.integers(len(pool), size=g)]
+        thetas, phis = rng.uniform(0, np.pi, g), rng.uniform(0, 2 * np.pi, g)
+        got = _kernels.conditional_entropy_grid(blocks, thetas, phis)
+        assert np.array_equal(got, oracle_entropy_grid(blocks, thetas, phis, POINT_ORDER))
 
 
 def full_grid(grid):
@@ -392,6 +421,26 @@ def test_classical_correlation_many_peak_memory_is_one_states_grid():
     assert peak(states) <= peak(states[:1]) + 16 * 1024
 
 
+def test_grid_kernel_peak_memory_does_not_grow_past_one_slice():
+    # the points run in 512-point slices, so a full 8192-cell
+    # register-qubit grid peaks no higher than one slice plus its
+    # 64 KiB result
+    blocks = _measured_qubit_blocks(d.rho3(0.5).state, 1)
+    thetas, phis = full_grid((64, 128))
+
+    def peak(n):
+        t, p = thetas[:n].copy(), phis[:n].copy()
+        tracemalloc.start()
+        try:
+            _kernels.conditional_entropy_grid(blocks, t, p)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(512)
+    assert peak(8192) <= peak(512) + 80 * 1024
+
+
 def test_classical_correlation_many_rejects_mixed_sizes():
     with pytest.raises(ValueError, match="same number of qubits"):
         d.classical_correlation_many([d.maximally_mixed(2), d.maximally_mixed(3)], 0)
@@ -432,7 +481,7 @@ def test_grid_start_cells_match_full_grid_argsort(grid):
         assert np.array_equal(got[1], phis[order])
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 8, 2080, 6112])
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 511, 512, 513, 2080, 6112])
 def test_grid_order_gives_a_cell_the_same_bits_in_any_subset(size):
     # the start-cell screen evaluates gathered subsets of the grid and
     # relies on each cell's value matching the full-grid call bit for bit

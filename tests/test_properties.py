@@ -86,3 +86,19 @@ def test_activation_equals_one_plus_the_off_diagonal_l1_norm(seed):
     r = u @ rho.matrix @ u.conj().T
     l1 = np.abs(r).sum() - np.abs(np.diagonal(r)).sum()
     assert abs(d.activate(rho, strategy).multiplicative_negativity - (1 + l1)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, num_qubits=st.integers(min_value=2, max_value=3),
+       data=st.data())
+def test_negativity_is_unchanged_by_a_product_of_single_qubit_unitaries(
+        seed, num_qubits, data):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, num_qubits)
+    cut = data.draw(st.sets(st.integers(min_value=0, max_value=num_qubits - 1),
+                            min_size=1, max_size=num_qubits - 1))
+    w = np.array([[1.0 + 0j]])
+    for _ in range(num_qubits):
+        w = np.kron(w, random_unitary(rng, 2))
+    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T, num_qubits)
+    assert abs(d.negativity(rotated, cut) - d.negativity(rho, cut)) <= 1e-10
