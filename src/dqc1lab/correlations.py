@@ -17,6 +17,7 @@ from . import _kernels
 from .linalg import (
     DensityMatrix,
     _check_cut,
+    _qubit_set,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
@@ -77,7 +78,7 @@ def is_ppt(rho: DensityMatrix, cut: Iterable[int]) -> bool:
 
 def mutual_information(rho: DensityMatrix, part_a: Iterable[int]) -> float:
     """S(A) + S(B) - S(AB) across the cut part_a vs complement, in bits."""
-    a = tuple(sorted(set(int(q) for q in part_a)))
+    a = _qubit_set(part_a)
     n = rho.num_qubits
     if not a or len(a) >= n or any(q < 0 or q >= n for q in a):
         raise ValueError("part_a must be a strict nonempty subset of the qubits")
@@ -99,65 +100,45 @@ def _measured_qubit_blocks(rho: DensityMatrix, measured_qubit: int) -> np.ndarra
     return np.ascontiguousarray(t.reshape(2, d, 2, d).transpose(0, 2, 1, 3))
 
 
-def _descent(theta: float, phi: float, step_theta: float, step_phi: float,
-             tol: float):
-    """Coordinate-shrinking descent of one candidate, as a coroutine.
-
-    Yields each probe (theta, phi) and receives its objective value;
-    returns (value, theta, phi) of the best probe.  Probes go +theta,
-    -theta, +phi, -phi in turn, a probe is accepted when it improves on
-    the best by more than ``tol * 1e-3``, and both steps halve after a
-    round with no accepted probe until both fall to 1e-10.
-    """
-
-    def clamp(t, p):
-        return min(max(t, 0.0), np.pi), p % (2 * np.pi)
-
-    theta, phi = clamp(theta, phi)
-    best = yield theta, phi
-    st, sp = step_theta, step_phi
-    while st > 1e-10 or sp > 1e-10:
-        improved = False
-        for dt, dp in ((st, 0.0), (-st, 0.0), (0.0, sp), (0.0, -sp)):
-            t, p = clamp(theta + dt, phi + dp)
-            val = yield t, p
-            if val < best - tol * 1e-3:
-                best, theta, phi = val, t, p
-                improved = True
-        if not improved:
-            st /= 2
-            sp /= 2
-    return best, theta, phi
-
-
 def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
             step_theta: float, step_phi: float,
             tol: float) -> list[tuple[float, float, float]]:
     """Refine every start point by coordinate-shrinking descent, in lock-step.
 
     ``blocks`` holds one (2, 2, d, d) state per start point, so the start
-    points of many states descend together.  Each candidate follows
-    exactly the path it would follow alone; one kernel call per step
-    evaluates the next probe of every candidate still descending.
-    Returns (value, theta, phi) per start point.
+    points of many states descend together.  Each round probes +theta,
+    -theta, +phi, -phi in turn, with theta clipped to [0, pi] and phi
+    taken mod 2*pi; a probe is accepted when it improves on the best by
+    more than ``tol * 1e-3``.  A row's steps halve after a round in which
+    it accepted nothing, and the row stops once both fall to 1e-10.
+    Every live row is at the same probe, so one kernel call per probe
+    evaluates them all, and each row follows exactly the path it would
+    follow alone.  Returns (value, theta, phi) per start point.
     """
-    walks = [_descent(t, p, step_theta, step_phi, tol) for t, p in zip(thetas, phis)]
-    probes = [next(w) for w in walks]
-    results: list = [None] * len(walks)
-    active = list(range(len(walks)))
-    while active:
-        values = _kernels.conditional_entropy_grid(
-            blocks[active], np.array([probes[i][0] for i in active]),
-            np.array([probes[i][1] for i in active]))
-        still = []
-        for i, val in zip(active, values):
-            try:
-                probes[i] = walks[i].send(val)
-                still.append(i)
-            except StopIteration as done:
-                results[i] = done.value
-        active = still
-    return results
+
+    def clamp(x):
+        x[:, 0] = np.clip(x[:, 0], 0.0, np.pi)
+        x[:, 1] = np.mod(x[:, 1], 2 * np.pi)
+        return x
+
+    x = clamp(np.column_stack([thetas, phis]))
+    best = _kernels.conditional_entropy_grid(blocks, x[:, 0], x[:, 1])
+    steps = np.tile([step_theta, step_phi], (len(x), 1))
+    live = np.flatnonzero((steps > 1e-10).any(axis=1))
+    while live.size:
+        own = blocks[live]
+        improved = np.zeros(live.size, dtype=bool)
+        for col, sign in ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)):
+            probe = x[live]
+            probe[:, col] += sign * steps[live, col]
+            clamp(probe)
+            val = _kernels.conditional_entropy_grid(own, probe[:, 0], probe[:, 1])
+            better = val < best[live] - tol * 1e-3
+            best[live[better]], x[live[better]] = val[better], probe[better]
+            improved |= better
+        steps[live[~improved]] /= 2
+        live = live[(steps[live] > 1e-10).any(axis=1)]
+    return list(zip(best, x[:, 0], x[:, 1]))
 
 
 def _class_representatives(n_theta: int, n_phi: int, real: bool) -> np.ndarray:

@@ -7,6 +7,7 @@ leading bit of ``i``.  All entropies are in bits (base-2 logarithms).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -74,9 +75,14 @@ def maximally_mixed(num_qubits: int) -> DensityMatrix:
     return DensityMatrix(np.eye(d, dtype=np.complex128) / d, num_qubits)
 
 
+def _qubit_set(qubits: Iterable[int]) -> tuple[int, ...]:
+    """Sorted distinct qubit indices; a float index is a TypeError, not a truncation."""
+    return tuple(sorted({operator.index(q) for q in qubits}))
+
+
 def _check_cut(transposed: Iterable[int], num_qubits: int,
                allow_full: bool = False) -> tuple[int, ...]:
-    cut = tuple(sorted(set(int(q) for q in transposed)))
+    cut = _qubit_set(transposed)
     if not cut:
         raise ValueError("bipartition must transpose at least one qubit")
     if any(q < 0 or q >= num_qubits for q in cut):
@@ -104,11 +110,19 @@ def kron_all(*matrices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hermitian_input(m: np.ndarray) -> np.ndarray:
+    """m as a complex square matrix, Hermitian within 1e-10 and finite."""
+    m = _as_complex_matrix(m)
+    defect = hermiticity_defect(m)
+    if not defect <= EIG_HERMITICITY_TOL:  # NaN fails this comparison too
+        raise ValueError("input has a non-finite entry" if np.isnan(defect)
+                         else "input is not Hermitian within 1e-10")
+    return m
+
+
 def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    m = _as_complex_matrix(m)
-    if hermiticity_defect(m) > EIG_HERMITICITY_TOL:
-        raise ValueError("input is not Hermitian within 1e-10")
+    m = _hermitian_input(m)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -119,9 +133,7 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, descending."""
-    m = _as_complex_matrix(m)
-    if hermiticity_defect(m) > EIG_HERMITICITY_TOL:
-        raise ValueError("input is not Hermitian within 1e-10")
+    m = _hermitian_input(m)
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -159,7 +171,7 @@ def partial_transpose(rho: DensityMatrix, transposed: Iterable[int]) -> np.ndarr
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept qubits, tracing out the rest."""
-    kept = tuple(sorted(set(int(q) for q in keep)))
+    kept = _qubit_set(keep)
     n = rho.num_qubits
     if not kept:
         raise ValueError("must keep at least one qubit")

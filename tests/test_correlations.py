@@ -351,6 +351,30 @@ def test_lockstep_refine_reproduces_sequential_descent_bitwise(alpha, qubit):
     assert got == want
 
 
+# start points on the edges theta = 0, theta = pi, phi = 0 and phi just
+# below 2*pi, where probes leave the box and are clipped or wrapped back
+EDGE_STARTS = [(0.0, 1.0), (np.pi, 4.0), (1.0, 0.0), (2.0, np.nextafter(2 * np.pi, 0)),
+               (0.0, 0.0), (np.pi, np.nextafter(2 * np.pi, 0))]
+
+
+@pytest.mark.parametrize("n,step_theta,step_phi", [
+    (2, np.pi / 63, 2 * np.pi / 128), (3, np.pi / 63, 2 * np.pi / 128),
+    (2, 0.4, 1e-11), (3, 1e-11, 0.7)],
+    ids=["2q-grid-steps", "3q-grid-steps", "2q-tiny-phi-step", "3q-tiny-theta-step"])
+def test_lockstep_refine_reproduces_sequential_descent_at_the_clamp_edges(
+        n, step_theta, step_phi):
+    rng = np.random.default_rng(59 + n)
+    states = [_measured_qubit_blocks(random_density_matrix(rng, n), q)
+              for _ in range(2) for q in (0, n - 1)]
+    blocks = np.stack([b for b in states for _ in EDGE_STARTS])
+    thetas, phis = np.array(EDGE_STARTS * len(states)).T
+    got = _refine(blocks, thetas, phis, step_theta, step_phi, REFINE_TOL)
+    runs = [sequential_refine(b, t, p, step_theta, step_phi, REFINE_TOL)
+            for b, t, p in zip(blocks, thetas, phis)]
+    assert len({calls for _, calls in runs}) > 1  # rows finish in different rounds
+    assert got == [result for result, _ in runs]
+
+
 @pytest.mark.parametrize("qubit", [0, 1])
 def test_classical_correlation_many_reproduces_sequential_oracle_bitwise(qubit):
     states = [d.rho3(a).state for a in SWEEP_ALPHAS]

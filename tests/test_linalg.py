@@ -220,6 +220,30 @@ def test_partial_trace_requires_kept_qubit():
         d.partial_trace(d.maximally_mixed(2), ())
 
 
+# a qubit index that is not an integer must not be truncated to one
+FLOAT_QUBIT_CALLS = {
+    "mutual-information": lambda rho: d.mutual_information(rho, (0.7,)),
+    "negativity": lambda rho: d.negativity(rho, (1.5,)),
+    "partial-trace": lambda rho: d.partial_trace(rho, (1.9,)),
+    "partial-transpose": lambda rho: d.partial_transpose(rho, (np.float64(1.0),)),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_QUBIT_CALLS.values(), ids=FLOAT_QUBIT_CALLS.keys())
+def test_float_qubit_index_is_rejected(call):
+    with pytest.raises(TypeError):
+        call(d.maximally_mixed(2))
+
+
+def test_numpy_integer_qubit_indices_are_accepted():
+    rho = random_density_matrix(np.random.default_rng(8), 3)
+    keep = (np.int64(2), np.int32(0))
+    assert np.array_equal(d.partial_trace(rho, keep).matrix,
+                          d.partial_trace(rho, (0, 2)).matrix)
+    assert d.mutual_information(rho, keep) == d.mutual_information(rho, (0, 2))
+    assert d.negativity(rho, keep) == d.negativity(rho, (0, 2))
+
+
 # --------------------------------------------------------------------------
 # trace norm
 # --------------------------------------------------------------------------
@@ -355,6 +379,12 @@ NON_FINITE_INPUTS = {
         "unitarity"),
     "adversary-unitary": (lambda: d.AdversaryStrategy.explicit(
         np.eye(2), nan_coupling(np.eye(2)), np.eye(2)), "unitarity"),
+    # a NaN defect is no defect to a `>` test: these returned numbers
+    "hermitian-eigenvalues": (lambda: d.hermitian_eigenvalues(nan_coupling(np.eye(2))),
+                              "non-finite"),
+    "hermitian-eigensystem": (lambda: d.hermitian_eigensystem(nan_coupling(np.eye(4))),
+                              "non-finite"),
+    "trace-norm": (lambda: d.trace_norm(np.diag([np.nan, 1.0])), "non-finite"),
 }
 
 
