@@ -10,14 +10,16 @@ input state, i.e. when the state carries no non-classical correlations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_complex_matrix, partial_transpose_matrix, trace_norm
+from .dqc1 import rho3
+from .linalg import (UNITARITY_TOL, DensityMatrix, _as_complex_matrix, partial_transpose_matrix,
+                     trace_norm, unitarity_defect)
 
-UNITARY_TOL = 1e-12
 ANCILLA_CUT = (3, 4, 5)
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
 MAX_STRATEGIES = 100_000
@@ -40,7 +42,7 @@ class AdversaryStrategy:
             u = _as_complex_matrix(u)
             if u.shape != (2, 2):
                 raise ValueError("strategy unitaries must be 2x2")
-            if not np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL:
+            if not unitarity_defect(u) <= UNITARITY_TOL:
                 raise ValueError("strategy unitary fails unitarity within 1e-12")
             u.setflags(write=False)
             checked.append(u)
@@ -110,13 +112,12 @@ def activation_sweep(alphas: Sequence[float], strategies: int,
     ``strategies - 1`` entries are seeded-random strategies derived from
     ``seed``, identical across the alpha values.
     """
-    from .dqc1 import rho3
-
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise ValueError("alphas must lie in [0, 1]")
+    if bad := [a for a in alphas if not 0.0 <= a <= 1.0]:
+        raise ValueError(f"alpha must lie in [0, 1], got {bad[0]}")
+    strategies = operator.index(strategies)
     if not 1 <= strategies <= MAX_STRATEGIES:
         raise ValueError(f"strategy count must lie in [1, {MAX_STRATEGIES}], got {strategies}")
     children = np.random.SeedSequence(seed).spawn(max(strategies - 1, 0))

@@ -11,13 +11,13 @@ measuring the clean qubit in the X (Y) basis estimates the real
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_complex_matrix, kron_all
+from .linalg import UNITARITY_TOL, DensityMatrix, _as_complex_matrix, kron_all, unitarity_defect
 
-UNITARITY_TOL = 1e-12
 MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
 
@@ -57,12 +57,7 @@ class UnitaryBlockSpec:
             object.__setattr__(self, name, m)
 
     def unitarity_defect(self) -> float:
-        a, b, c, d = self.a1, self.b1, self.c1, self.d1
-        eye = np.eye(2)
-        r1 = np.abs(a.conj().T @ a + d.conj().T @ d - eye).max()
-        r2 = np.abs(b.conj().T @ b + c.conj().T @ c - eye).max()
-        r3 = np.abs(a.conj().T @ c + d.conj().T @ b).max()
-        return float(np.max([r1, r2, r3]))
+        return unitarity_defect(np.block([[self.a1, self.c1], [self.d1, self.b1]]))
 
     def validate(self) -> None:
         if not self.unitarity_defect() <= UNITARITY_TOL:
@@ -132,7 +127,7 @@ def build_un(spec: UnitaryBlockSpec, n: int) -> np.ndarray:
         [np.kron(eye, spec.a1), np.kron(xs, spec.c1)],
         [np.kron(xs, spec.d1), np.kron(eye, spec.b1)],
     ])
-    defect = np.abs(u.conj().T @ u - np.eye(2**n)).max()
+    defect = unitarity_defect(u)
     if not defect <= UNITARITY_TOL:
         raise ValueError(f"assembled matrix is not unitary (defect {defect:.2e})")
     return u
@@ -143,35 +138,28 @@ def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
     u = _as_complex_matrix(u)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= UNITARITY_TOL:
+    if not unitarity_defect(u) <= UNITARITY_TOL:
         raise ValueError("u is not unitary within 1e-12")
     dim = u.shape[0]
-    n = int(round(np.log2(dim)))
+    n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"unitary dim {dim} is not a power of 2")
-    eye = np.eye(dim, dtype=np.complex128)
-    rho = np.block([[eye, alpha * u.conj().T], [alpha * u, eye]]) / (2 * dim)
+    rho = np.eye(2 * dim, dtype=np.complex128)
+    rho[:dim, dim:] = alpha * u.conj().T
+    rho[dim:, :dim] = alpha * u
+    rho /= 2 * dim
     return Dqc1State(alpha=float(alpha), n=n,
                      state=DensityMatrix(rho, n + 1), unitary=u)
 
 
 def rho3(alpha: float) -> Dqc1State:
-    """Three-qubit output state for the canonical blocks, built entrywise.
+    """Three-qubit output state for the canonical blocks.
 
     Diagonal is uniformly 1/8; the only off-diagonal entries are alpha/8
     at the four coupling pairs (|000>,|111>), (|001>,|101>), (|010>,|110>),
-    (|011>,|100>) and their conjugates.  Equals the constructor route
-    build_dqc1_state(build_un(canonical_blocks(), 2), alpha) exactly.
+    (|011>,|100>) and their conjugates.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    m = np.eye(8, dtype=np.complex128)
-    for i, j in ((0, 7), (1, 5), (2, 6), (3, 4)):
-        m[i, j] = alpha
-        m[j, i] = alpha
-    m /= 8
-    return Dqc1State(alpha=float(alpha), n=2, state=DensityMatrix(m, 3),
-                     unitary=_canonical_u2())
+    return build_dqc1_state(_canonical_u2(), alpha)
 
 
 @functools.cache
@@ -202,6 +190,7 @@ def sample_trace_estimate(s: Dqc1State, shots: int, seed: int) -> TraceEstimate:
     sampled mean is (2k - shots)/shots.  Both axes draw from one PCG64
     stream keyed by ``seed``, so results are bit-reproducible per seed.
     """
+    shots = operator.index(shots)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     exact_re, exact_im = expectation_xy(s)

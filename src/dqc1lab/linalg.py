@@ -14,6 +14,7 @@ from typing import Iterable
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+UNITARITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 EIG_HERMITICITY_TOL = 1e-10
@@ -33,6 +34,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    """Max-norm distance of u^H u from the identity; not finite when u is not."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on qubits.
@@ -48,6 +54,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
+        object.__setattr__(self, "num_qubits", operator.index(self.num_qubits))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if m.shape[0] != 2**self.num_qubits:

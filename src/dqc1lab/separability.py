@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
+from .correlations import PPT_TOL
 from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, rho3
 from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_trace, partial_transpose
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
-PT_WITNESS_TOL = -1e-10
 
 _PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
@@ -128,7 +128,7 @@ def kay_criterion(rho: DensityMatrix) -> SeparabilityVerdict:
         "odd_weight_product": product,
         "min_pt_eigenvalue": min_pt_eig,
     }
-    if min_pt_eig < PT_WITNESS_TOL:
+    if min_pt_eig < PPT_TOL:
         return SeparabilityVerdict(Verdict.NPT_ENTANGLED, certificate)
     if product <= 0.0:
         return SeparabilityVerdict(Verdict.FULLY_SEPARABLE, certificate)
@@ -165,8 +165,6 @@ def eta_state() -> DensityMatrix:
 def decompose_rho3(alpha: float) -> tuple[float, DensityMatrix, float, DensityMatrix]:
     """Convex split (1 - alpha/2) * omega(alpha) + (alpha/2) * eta of the
     three-qubit output state; the reconstruction is exact to 1e-12."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return 1.0 - alpha / 2, omega_state(alpha), alpha / 2, eta_state()
 
 
@@ -193,8 +191,6 @@ def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
     the product-criterion verdict on the latter.  For larger alpha the
     witness is the negative partial-transpose eigenvalue (1-2*alpha)/8.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     w1, omega, w2, eta = decompose_rho3(alpha)
     target = rho3(alpha).state.matrix
     residual = float(np.abs(w1 * omega.matrix + w2 * eta.matrix - target).max())

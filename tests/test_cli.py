@@ -194,6 +194,47 @@ def test_activate_json_bytes_match_recorded_digest(alpha, seed, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ACTIVATE_DIGESTS[alpha, seed]
 
 
+# SHA-256 of `separability --alpha A` (JSON and text) and of
+# `trace-estimate --n N --alpha 0.5 --seed 3 --json`, recorded while rho3
+# was still built entrywise and the front end repeated the range checks
+SEPARABILITY_DIGESTS = {
+    ("0", "--json"): "2fe50318350c24a7e69ee4649c4e93dfbd0d92b01ef2efaf4c1935f89241350e",
+    ("0", None): "86d0efb017318fa405448f3f356189e05ae1c3848a95078fbeaa12775cace8b4",
+    ("0.25", "--json"): "14e95d6b4f530060fb6b563fff1a28a4177706ff658d1f3fcfbacd61512e4211",
+    ("0.25", None): "8a0e8736dc971b5e69df464e96daeeed48be1a8a290ec6bca6aa84dac0279acf",
+    ("0.4", "--json"): "ce6eabf78aa1818e5097e79182b8debb2ccb9496954cdda4d5d2f250c1093826",
+    ("0.4", None): "3137023d7f2df78176fa24d83cac534c08dfe329b65a76ad69df6961c286ba52",
+    ("0.5", "--json"): "1ccb03cd9f2934d56dcd6bbc4e197ca0d4030a42e619a00f175a8d0dcd9748a9",
+    ("0.5", None): "910311457f07e63e2e1d67df214f3367b9ba7f63d165970703f7fa5c4a2abc75",
+    ("0.75", "--json"): "dd7d4befc61f446684c1e989f0a1d2ac8d43aa50caeae33c86c4caf82089e705",
+    ("0.75", None): "e0062961720b96c99f1a3d8f4b1b4a2b60a64533074749ed328650b9979718c6",
+    ("1", "--json"): "a5df6f2e94636277e996d3f0da3572b12fb8648bae2baf3717ce2e80e7b66144",
+    ("1", None): "6179fdb3821464eaf733574b0bbc12b0c25fc0f5481b9e749a7f6d31aa0eeb99",
+}
+TRACE_ESTIMATE_DIGESTS = {
+    "2": "1bf8d4aa66a09c4a5f3938187f2c2c9bd4f5f2c7b8e3922a73e58d99d9e717a0",
+    "3": "9a416c55162b135296c4cc748dfd1dda532a36edac4c11b8554dafe1426b74b3",
+    "4": "e014ea5e8edeaf45118792f90308c32d34802e5d02e55d92363ddf751010a156",
+    "5": "a3f706f88d710f8489417d4ea6ed84a46f9b9ff9e94ade499359ebcf5c70e6ee",
+}
+
+
+@pytest.mark.parametrize("alpha,mode", SEPARABILITY_DIGESTS)
+def test_separability_bytes_match_recorded_digest(alpha, mode, capsys):
+    code = main(["separability", "--alpha", alpha, *([mode] if mode else [])])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEPARABILITY_DIGESTS[alpha, mode]
+
+
+@pytest.mark.parametrize("n", TRACE_ESTIMATE_DIGESTS)
+def test_trace_estimate_json_bytes_match_recorded_digest(n, capsys):
+    code = main(["trace-estimate", "--n", n, "--alpha", "0.5", "--seed", "3", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_ESTIMATE_DIGESTS[n]
+
+
 def test_separability_sweep_builds_canonical_unitary_once(monkeypatch, capsys):
     from dqc1lab import dqc1
 
@@ -409,6 +450,15 @@ def test_sweep_rejects_bad_range(capsys):
     ["sweep", "--quantity", "discord", "--steps", str(2**63)],
     ["sweep", "--quantity", "discord", "--steps", str(2**64 - 1)],
     ["activate", "--alpha", "0.5", "--strategies", str(activation.MAX_STRATEGIES + 1)],
+    ["activate", "--alpha", "1.5"],
+    ["activate", "--alpha", "-0.1"],
+    ["activate", "--alpha", "inf"],
+    ["separability", "--alpha", "nan"],
+    ["separability", "--alpha", "inf"],
+    ["separability", "--alpha", "-0.1"],
+    ["trace-estimate", "--n", "2", "--alpha", "1.5"],
+    ["trace-estimate", "--n", "2", "--alpha", "inf"],
+    ["trace-estimate", "--n", "1", "--alpha", "0.5"],
 ])
 def test_out_of_range_input_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
     built = []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_unitary
@@ -156,6 +158,55 @@ def test_rho3_shares_one_read_only_canonical_unitary():
 def test_rho3_rejects_bad_alpha():
     with pytest.raises(ValueError, match="alpha"):
         d.rho3(1.5)
+
+
+def test_rho3_matches_the_entrywise_coupling_pairs():
+    for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
+        m = np.eye(8, dtype=complex)
+        for i, j in ((0, 7), (1, 5), (2, 6), (3, 4)):
+            m[i, j] = m[j, i] = alpha
+        assert np.array_equal(d.rho3(alpha).state.matrix, m / 8)
+
+
+# every entry point that takes a polarization, each rejecting it before any work
+ALPHA_ENTRY_POINTS = {
+    "rho3": d.rho3,
+    "build-dqc1-state": lambda a: d.build_dqc1_state(np.eye(4), a),
+    "omega-state": d.omega_state,
+    "decompose-rho3": d.decompose_rho3,
+    "full-separability-verdict": d.full_separability_verdict,
+    "activation-sweep": lambda a: d.activation_sweep([0.5, a], strategies=2, seed=0),
+}
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, np.inf])
+@pytest.mark.parametrize("call", ALPHA_ENTRY_POINTS.values(), ids=ALPHA_ENTRY_POINTS.keys())
+def test_alpha_outside_the_unit_interval_is_rejected(call, alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got"):
+        call(alpha)
+
+
+def scaled_block_spec(eps):
+    spec = d.canonical_blocks()
+    return dataclasses.replace(spec, a1=(1 + eps) * spec.a1)
+
+
+# each site that admits a unitary, fed one scaled by 1 + eps (defect about 2 eps)
+UNITARITY_SITES = {
+    "block-spec": lambda eps: scaled_block_spec(eps).validate(),
+    "build-un": lambda eps: d.build_un(scaled_block_spec(eps), 2),
+    "dqc1-state": lambda eps: d.build_dqc1_state(
+        (1 + eps) * d.build_un(d.canonical_blocks(), 2), 0.5),
+    "adversary": lambda eps: d.AdversaryStrategy.explicit(
+        (1 + eps) * np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("admit", UNITARITY_SITES.values(), ids=UNITARITY_SITES.keys())
+def test_every_unitarity_site_shares_one_tolerance(admit):
+    admit(1e-13)
+    with pytest.raises(ValueError, match="unitar"):
+        admit(1e-11)
 
 
 def test_expectation_xy_zero_polarization():

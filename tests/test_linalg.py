@@ -235,6 +235,19 @@ def test_float_qubit_index_is_rejected(call):
         call(d.maximally_mixed(2))
 
 
+# a count that is not an integer must not be used as one; numpy integers pass
+@pytest.mark.parametrize("call, bad, good", [
+    (lambda k: d.sample_trace_estimate(d.build_dqc1_state(np.eye(4), 1.0), k, 1),
+     1000.7, np.int64(1000)),
+    (lambda k: d.DensityMatrix(np.eye(8) / 8, k), 3.0, np.int32(3)),
+    (lambda k: d.activation_sweep([0.5], k, 0), 2.5, np.int64(2)),
+], ids=["shots", "num-qubits", "strategies"])
+def test_float_count_is_rejected(call, bad, good):
+    call(good)
+    with pytest.raises(TypeError):
+        call(bad)
+
+
 def test_numpy_integer_qubit_indices_are_accepted():
     rho = random_density_matrix(np.random.default_rng(8), 3)
     keep = (np.int64(2), np.int32(0))
