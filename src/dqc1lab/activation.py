@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .dqc1 import rho3
-from .linalg import (UNITARITY_TOL, DensityMatrix, _as_complex_matrix, partial_transpose_matrix,
-                     trace_norm, unitarity_defect)
+from .linalg import (UNITARITY_TOL, DensityMatrix, _as_complex_matrix, _random_unitary,
+                     partial_transpose_matrix, trace_norm, unitarity_defect)
 
 ANCILLA_CUT = (3, 4, 5)
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
@@ -59,16 +59,10 @@ class AdversaryStrategy:
 
     @classmethod
     def random(cls, seed: int) -> "AdversaryStrategy":
-        """Haar-like strategy: QR of a complex Gaussian matrix per qubit,
-        with the R diagonal phases normalized away."""
+        """One seeded Haar unitary per qubit, drawn by ``linalg._random_unitary``."""
         rng = np.random.default_rng(seed)
-        us = []
-        for _ in range(3):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(g)
-            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            us.append(q)
-        return cls(tuple(us), label=f"random(seed={seed})")
+        return cls(tuple(_random_unitary(rng, 2) for _ in range(3)),
+                   label=f"random(seed={seed})")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 at least one reproduction check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -127,27 +128,23 @@ def cmd_trace_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """Encode what ``json`` cannot: arrays, verdicts and certificate dataclasses."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, Verdict):
         return obj.value
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return obj
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def cmd_separability(args: argparse.Namespace) -> int:
     verdict = full_separability_verdict(args.alpha)
     if args.json:
         print(json.dumps({"alpha": args.alpha, "status": verdict.status.value,
-                          "certificate": _jsonable(verdict.certificate)}, indent=2))
+                          "certificate": verdict.certificate},
+                         indent=2, default=_json_default))
     else:
         print(f"alpha={args.alpha}: {verdict.status.value}")
         cert = verdict.certificate or {}

@@ -26,6 +26,8 @@ def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     return m
 
 
@@ -61,8 +63,6 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix dim {m.shape[0]} does not match {self.num_qubits} qubits"
             )
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has a non-finite entry")
         if hermiticity_defect(m) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -80,6 +80,32 @@ class DensityMatrix:
 def maximally_mixed(num_qubits: int) -> DensityMatrix:
     d = 2**num_qubits
     return DensityMatrix(np.eye(d, dtype=np.complex128) / d, num_qubits)
+
+
+# Seeded random inputs for the battery, the adversaries and the tests.
+
+def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """dim x dim matrix of standard complex normals, real part drawn first."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _random_density_matrix(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
+    """Ginibre state g g^H / tr(g g^H)."""
+    g = _complex_gaussian(rng, 2**num_qubits)
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return DensityMatrix((m + m.conj().T) / 2, num_qubits)
+
+
+def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar unitary: Q of a complex Gaussian matrix, R's diagonal phases removed."""
+    q, r = np.linalg.qr(_complex_gaussian(rng, dim))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = _complex_gaussian(rng, dim)
+    return (g + g.conj().T) / 2
 
 
 def _qubit_set(qubits: Iterable[int]) -> tuple[int, ...]:
@@ -118,12 +144,10 @@ def kron_all(*matrices: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_input(m: np.ndarray) -> np.ndarray:
-    """m as a complex square matrix, Hermitian within 1e-10 and finite."""
+    """m as a finite complex square matrix, Hermitian within 1e-10."""
     m = _as_complex_matrix(m)
-    defect = hermiticity_defect(m)
-    if not defect <= EIG_HERMITICITY_TOL:  # NaN fails this comparison too
-        raise ValueError("input has a non-finite entry" if np.isnan(defect)
-                         else "input is not Hermitian within 1e-10")
+    if hermiticity_defect(m) > EIG_HERMITICITY_TOL:
+        raise ValueError("input is not Hermitian within 1e-10")
     return m
 
 

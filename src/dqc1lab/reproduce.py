@@ -36,7 +36,8 @@ from .dqc1 import (
     sample_trace_estimate,
 )
 from .linalg import (
-    DensityMatrix,
+    _random_density_matrix,
+    _random_hermitian,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     kron_all,
@@ -142,14 +143,6 @@ class ReproduceReport:
 
 def _pt_spectrum_closed_form(alpha: float) -> np.ndarray:
     return np.sort(np.array([(1 + 2 * alpha) / 8] + [1 / 8] * 6 + [(1 - 2 * alpha) / 8]))
-
-
-def _random_density_matrix(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
-    d = 2**num_qubits
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix((m + m.conj().T) / 2, num_qubits)
 
 
 def run_reproduce() -> ReproduceReport:
@@ -304,9 +297,7 @@ def run_reproduce() -> ReproduceReport:
 
     dev = 0.0
     for _ in range(100):
-        d = int(rng.integers(2, 65))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (g + g.conj().T) / 2
+        h = _random_hermitian(rng, int(rng.integers(2, 65)))
         w, v = hermitian_eigensystem(h)
         dev = max(dev, float(np.abs((v * w) @ v.conj().T - h).max()))
     report.add_deviation("eigensolver-reconstruction", dev, 1e-9,

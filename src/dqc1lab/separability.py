@@ -89,6 +89,8 @@ def ghz_reconstruct(lambdas: np.ndarray) -> np.ndarray:
     lams = np.asarray(lambdas, dtype=float)
     if lams.shape != (8,):
         raise ValueError("expected 8 coefficients")
+    if not np.isfinite(lams).all():
+        raise ValueError("coefficients have a non-finite entry")
     out = np.zeros((8, 8), dtype=np.complex128)
     for lam, s in zip(lams, GHZ_PAULI_STRINGS):
         out += lam * pauli_string_matrix(s)

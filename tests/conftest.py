@@ -1,24 +1,13 @@
-"""Shared helpers for the test suite: seeded random states and
-independent brute-force oracles kept deliberately separate from the
-library implementations they check."""
+"""Shared helpers for the test suite: the library's seeded random inputs
+under short names, and independent brute-force oracles kept deliberately
+separate from the library implementations they check."""
 
 import numpy as np
 
 from dqc1lab import DensityMatrix
-
-
-def random_density_matrix(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
-    d = 2**num_qubits
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix((m + m.conj().T) / 2, num_qubits)
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+from dqc1lab.linalg import _random_density_matrix as random_density_matrix
+from dqc1lab.linalg import _random_hermitian as random_hermitian
+from dqc1lab.linalg import _random_unitary as random_unitary
 
 
 def random_product_state(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import oracle_partial_trace, random_density_matrix
+from conftest import oracle_partial_trace, random_density_matrix, random_hermitian
 
 import dqc1lab as d
 from dqc1lab.separability import SINGLE_QUBIT_CUTS
@@ -235,8 +235,6 @@ def test_criterion_9_property_suites():
             assert d.relative_entropy(x, y) >= -1e-12
 
         for _ in range(100):
-            dim = int(rng.integers(2, 65))
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = (g + g.conj().T) / 2
+            h = random_hermitian(rng, int(rng.integers(2, 65)))
             w, v = d.hermitian_eigensystem(h)
             assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-9

@@ -565,16 +565,29 @@ def test_activate_command(capsys):
     assert payload["min"] > 1.0
 
 
-def test_console_script_entry_point():
+def _child_env() -> dict:
     # the child imports the same dqc1lab as this process, installed or not
     package_root = str(Path(dqc1lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "dqc1lab.cli", "sweep", "--quantity",
          "mult-negativity", "--steps", "3"],
-        capture_output=True, text=True, check=True, env=env)
+        capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.startswith("alpha,quantity,value")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 6 MB to every child's peak RSS; only the
+    # commands that draw random numbers may load it
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dqc1lab.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=_child_env())
+    assert out.stdout == "False\n"
 
 
 def test_benchmark_traced_names_exist_and_are_called():

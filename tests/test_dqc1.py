@@ -138,13 +138,6 @@ def test_rho3_entries():
     assert np.abs(d.rho3(0.0).state.matrix - np.eye(8) / 8).max() == 0
 
 
-def test_rho3_equals_constructor_route():
-    u2 = d.build_un(d.canonical_blocks(), 2)
-    for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
-        via_blocks = d.build_dqc1_state(u2, alpha).state.matrix
-        assert np.array_equal(d.rho3(alpha).state.matrix, via_blocks)
-
-
 def test_rho3_shares_one_read_only_canonical_unitary():
     fresh = d.build_un(d.canonical_blocks(), 2)
     u = d.rho3(0.3).unitary

@@ -6,6 +6,7 @@ from conftest import (
     oracle_partial_trace,
     oracle_partial_transpose,
     random_density_matrix,
+    random_hermitian,
     random_product_state,
     random_unitary,
 )
@@ -88,8 +89,7 @@ def test_pt_spectrum_of_rho3_alpha_one():
 def test_eigenvalues_match_characteristic_polynomial_roots():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (g + g.conj().T) / 2
+        h = random_hermitian(rng, 4)
         roots = np.sort(np.roots(charpoly_coefficients(h)).real)
         got = np.sort(d.hermitian_eigenvalues(h))
         assert np.allclose(got, roots, atol=1e-8)
@@ -103,9 +103,7 @@ def test_eigenvalues_reject_non_hermitian():
 def test_eigensystem_reconstruction_residual():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        dim = int(rng.integers(2, 65))
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (g + g.conj().T) / 2
+        h = random_hermitian(rng, int(rng.integers(2, 65)))
         w, v = d.hermitian_eigensystem(h)
         assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-9
 
@@ -385,19 +383,32 @@ NON_FINITE_INPUTS = {
     "density-matrix": (lambda: d.DensityMatrix(nan_coupling(np.eye(4) / 4), 2),
                        "non-finite"),
     "dqc1-unitary": (lambda: d.build_dqc1_state(nan_coupling(np.eye(4)), 0.5),
-                     "not unitary"),
+                     "non-finite"),
     # b1 only: its NaN defect must not hide behind the zero defect of a1
     "block-spec": (lambda: dataclasses.replace(
         d.canonical_blocks(), b1=nan_coupling(np.diag([1.0, 0.0]))).validate(),
-        "unitarity"),
+        "non-finite"),
     "adversary-unitary": (lambda: d.AdversaryStrategy.explicit(
-        np.eye(2), nan_coupling(np.eye(2)), np.eye(2)), "unitarity"),
+        np.eye(2), nan_coupling(np.eye(2)), np.eye(2)), "non-finite"),
     # a NaN defect is no defect to a `>` test: these returned numbers
     "hermitian-eigenvalues": (lambda: d.hermitian_eigenvalues(nan_coupling(np.eye(2))),
                               "non-finite"),
     "hermitian-eigensystem": (lambda: d.hermitian_eigensystem(nan_coupling(np.eye(4))),
                               "non-finite"),
     "trace-norm": (lambda: d.trace_norm(np.diag([np.nan, 1.0])), "non-finite"),
+    # inf - inf inside the hermiticity defect would warn before any ValueError
+    "hermitian-eigenvalues-inf": (lambda: d.hermitian_eigenvalues(np.diag([np.inf, 1.0])),
+                                  "non-finite"),
+    "hermitian-eigensystem-inf": (lambda: d.hermitian_eigensystem(np.diag([1.0, -np.inf])),
+                                  "non-finite"),
+    "trace-norm-inf": (lambda: d.trace_norm(np.diag([np.inf, 1.0])), "non-finite"),
+    # plain arithmetic carries a NaN through to the result
+    "kron": (lambda: d.kron(np.eye(2), nan_coupling(np.eye(2))), "non-finite"),
+    "kron-all": (lambda: d.kron_all(np.eye(2), np.eye(2), nan_coupling(np.eye(2))),
+                 "non-finite"),
+    "partial-transpose": (lambda: d.partial_transpose_matrix(nan_coupling(np.eye(4)), 2, (0,)),
+                          "non-finite"),
+    "ghz-reconstruct": (lambda: d.ghz_reconstruct([np.nan] * 8), "non-finite"),
 }
 
 
