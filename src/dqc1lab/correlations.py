@@ -26,7 +26,7 @@ from .linalg import (
 )
 
 PPT_TOL = -1e-10
-NEGATIVITY_CLAMP = 1e-9
+DISCORD_CLAMP = 1e-9
 DEFAULT_GRID = (64, 128)
 REFINE_TOL = 1e-7
 _MIRROR_SLACK = 1e-9  # equivalent grid cells differ by a few 1e-15
@@ -247,7 +247,7 @@ def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int) -> list[Dis
     results = []
     for mi, (cc, basis) in zip(mis, classical_correlation_many(rhos, measured_qubit)):
         q = mi - cc
-        if q < -NEGATIVITY_CLAMP:
+        if q < -DISCORD_CLAMP:
             raise RuntimeError(
                 f"discord {q} below the -1e-9 clamp window; optimizer exceeded "
                 "the mutual information")

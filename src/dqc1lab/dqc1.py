@@ -122,7 +122,7 @@ def build_un(spec: UnitaryBlockSpec, n: int) -> np.ndarray:
         raise ValueError(f"register size {n} exceeds maximum {MAX_REGISTER}")
     spec.validate()
     eye = np.eye(2 ** (n - 2), dtype=np.complex128)
-    xs = kron_all(*([PAULI_X] * (n - 2))) if n > 2 else np.array([[1.0 + 0j]])
+    xs = kron_all(*([PAULI_X] * (n - 2)))
     u = np.block([
         [np.kron(eye, spec.a1), np.kron(xs, spec.c1)],
         [np.kron(xs, spec.d1), np.kron(eye, spec.b1)],

@@ -18,12 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .activation import AdversaryStrategy, activate, activation_sweep
-from .correlations import (
-    classical_correlation_many,
-    discord_many,
-    is_ppt,
-    multiplicative_negativity,
-)
+from .correlations import classical_correlation_many, discord_many, multiplicative_negativity
 from .dqc1 import (
     PAULI_X,
     PAULI_Y,
@@ -48,12 +43,10 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .separability import (
-    SINGLE_QUBIT_CUTS,
     Verdict,
-    decompose_rho3,
     full_separability_verdict,
     ghz_diagonal_coefficients,
-    kay_criterion,
+    omega_state,
 )
 
 CLOSED_FORM_TOL = 1e-9
@@ -151,8 +144,8 @@ def run_reproduce() -> ReproduceReport:
     negativity_closed_form = QUANTITIES["mult-negativity"][1]
     activation_closed_form = QUANTITIES["activated-negativity"][1]
 
-    # one pass over the alpha grid: each state and convex split is built
-    # (and admitted as a DensityMatrix) once and serves every grid check
+    # one pass over the alpha grid: each state is built (and admitted as a
+    # DensityMatrix) once and serves the spectrum and negativity checks
     pt_dev = neg_dev = split_dev = pattern_dev = lam5_dev = 0.0
     ppt_mistakes = verdict_mistakes = 0
     for a in ALPHA_GRID:
@@ -167,26 +160,20 @@ def run_reproduce() -> ReproduceReport:
         negativity = multiplicative_negativity(state, RHO3_ENTANGLING_CUT)
         neg_dev = max(neg_dev, abs(negativity - negativity_closed_form(a)))
 
-        # PPT region boundary at alpha = 1/2
-        all_ppt = all(is_ppt(state, cut) for cut in SINGLE_QUBIT_CUTS)
+        # the separability verdict: PPT region boundary at alpha = 1/2,
+        # the convex split's residual and the GHZ-diagonal part's verdict
+        verdict = full_separability_verdict(a)
+        all_ppt = verdict.status is not Verdict.NPT_ENTANGLED
         if a <= 0.5 and not all_ppt:
             ppt_mistakes += 1
         if a > 0.5 + 1e-6 and all_ppt:
             ppt_mistakes += 1
-
-        # convex split into the GHZ-diagonal part and the product mixture
-        w1, omega, w2, eta = decompose_rho3(a)
-        lhs = w1 * omega.matrix + w2 * eta.matrix
-        split_dev = max(split_dev, float(np.abs(lhs - state.matrix).max()))
+        split_dev = max(split_dev, verdict.certificate["reconstruction_residual"])
+        if a <= 0.5 and verdict.status is not Verdict.FULLY_SEPARABLE:
+            verdict_mistakes += 1
 
         # stabilizer coefficients of the GHZ-diagonal part
-        if a <= 0.5:
-            kay = kay_criterion(omega)
-            lams = kay.certificate["lambdas"]
-            if kay.status is not Verdict.FULLY_SEPARABLE:
-                verdict_mistakes += 1
-        else:
-            lams = ghz_diagonal_coefficients(omega)
+        lams = ghz_diagonal_coefficients(omega_state(a))
         pattern_dev = max(pattern_dev, abs(lams[5]), abs(lams[6]),
                           abs(lams[4] + lams[7]), abs(float(np.prod(lams[4:8]))))
         lam5_dev = max(lam5_dev, abs(lams[4] - 2 * a / (2 - a)))

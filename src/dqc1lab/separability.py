@@ -1,8 +1,9 @@
 """Full-separability certification for the three-qubit circuit output.
 
-The route mirrors the structure of the certifiable argument: split the
-output state into a GHZ-diagonal part and a manifestly separable part,
-then decide the GHZ-diagonal part with the product-coefficient PPT
+A negative partial-transpose eigenvalue under a single-qubit cut
+witnesses entanglement.  A state that is PPT under every such cut is
+split into a GHZ-diagonal part and a manifestly separable part, and the
+GHZ-diagonal part is decided with the product-coefficient PPT
 criterion (PPT under every cut is necessary and sufficient for full
 separability of a 3-qubit GHZ-diagonal state whose four odd-weight
 stabilizer coefficients have non-positive product).
@@ -111,6 +112,13 @@ def ghz_diagonal_coefficients(rho: DensityMatrix) -> np.ndarray:
     return lams
 
 
+def _min_pt_eigenvalue(rho: DensityMatrix) -> float:
+    """Smallest partial-transpose eigenvalue over the three single-qubit cuts."""
+    return min(
+        float(hermitian_eigenvalues(partial_transpose(rho, cut)).min())
+        for cut in SINGLE_QUBIT_CUTS)
+
+
 def kay_criterion(rho: DensityMatrix) -> SeparabilityVerdict:
     """Decide full separability of a 3-qubit GHZ-diagonal state.
 
@@ -122,9 +130,7 @@ def kay_criterion(rho: DensityMatrix) -> SeparabilityVerdict:
     """
     lams = ghz_diagonal_coefficients(rho)
     product = float(np.prod(lams[4:8]))
-    min_pt_eig = min(
-        float(hermitian_eigenvalues(partial_transpose(rho, cut)).min())
-        for cut in SINGLE_QUBIT_CUTS)
+    min_pt_eig = _min_pt_eigenvalue(rho)
     certificate = {
         "lambdas": lams,
         "odd_weight_product": product,
@@ -188,27 +194,29 @@ def _eta_component_purities() -> tuple[tuple[float, ...], ...]:
 def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
     """Separability status of the three-qubit output state at one alpha.
 
-    For alpha <= 1/2 the certificate is the explicit convex split into
-    the product-state mixture and the GHZ-diagonal part together with
-    the product-criterion verdict on the latter.  For larger alpha the
-    witness is the negative partial-transpose eigenvalue (1-2*alpha)/8.
+    The state is first tested for PPT under every single-qubit cut: a
+    partial-transpose eigenvalue below PPT_TOL (-1e-10) makes it
+    NptEntangled, with that eigenvalue as the witness.  Otherwise the
+    certificate is the explicit convex split into the product-state
+    mixture and the GHZ-diagonal part together with the
+    product-criterion verdict on the latter.
     """
     w1, omega, w2, eta = decompose_rho3(alpha)
-    target = rho3(alpha).state.matrix
-    residual = float(np.abs(w1 * omega.matrix + w2 * eta.matrix - target).max())
-    if alpha <= 0.5:
-        kay = kay_criterion(omega)
-        certificate = {
-            "weights": (w1, w2),
-            "reconstruction_residual": residual,
-            "ghz_part_verdict": kay,
-            "eta_component_purities": [list(p) for p in _eta_component_purities()],
-        }
-        if kay.status is not Verdict.FULLY_SEPARABLE:
-            return SeparabilityVerdict(Verdict.INCONCLUSIVE, certificate)
-        return SeparabilityVerdict(Verdict.FULLY_SEPARABLE, certificate)
-    witness = (1 - 2 * alpha) / 8
-    return SeparabilityVerdict(
-        Verdict.NPT_ENTANGLED,
-        {"witness_eigenvalue": witness, "reconstruction_residual": residual},
-    )
+    state = rho3(alpha).state
+    residual = float(np.abs(w1 * omega.matrix + w2 * eta.matrix - state.matrix).max())
+    witness = _min_pt_eigenvalue(state)
+    if witness < PPT_TOL:
+        return SeparabilityVerdict(
+            Verdict.NPT_ENTANGLED,
+            {"witness_eigenvalue": witness, "reconstruction_residual": residual},
+        )
+    kay = kay_criterion(omega)
+    certificate = {
+        "weights": (w1, w2),
+        "reconstruction_residual": residual,
+        "ghz_part_verdict": kay,
+        "eta_component_purities": [list(p) for p in _eta_component_purities()],
+    }
+    if kay.status is not Verdict.FULLY_SEPARABLE:
+        return SeparabilityVerdict(Verdict.INCONCLUSIVE, certificate)
+    return SeparabilityVerdict(Verdict.FULLY_SEPARABLE, certificate)

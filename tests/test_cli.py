@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import dqc1lab
-from dqc1lab import DensityMatrix, activation, cli
+from dqc1lab import DensityMatrix, Verdict, activation, cli
 from dqc1lab.cli import main
 
 KNOWN_DISCREPANT_CHECKS = {
@@ -71,7 +72,7 @@ def test_reproduce_table_mode(capsys):
 
 
 def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
-    from dqc1lab import reproduce
+    from dqc1lab import reproduce, separability
 
     real = reproduce.rho3
     spike = np.zeros((8, 8), dtype=np.complex128)
@@ -83,13 +84,34 @@ def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
         return dataclasses.replace(
             s, state=DensityMatrix((1 - 1e-3) * s.state.matrix + 1e-3 * spike, 3))
 
+    # the split check reads the separability verdict, which builds its own state
     monkeypatch.setattr(reproduce, "rho3", defective)
+    monkeypatch.setattr(separability, "rho3", defective)
     code = main(["reproduce", "--json"])
     payload = json.loads(capsys.readouterr().out)
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert code == 1
-    assert "pt-spectrum-family" in failed
+    assert {"pt-spectrum-family", "convex-split-identity"} <= failed
     assert len(failed) > len(KNOWN_DISCREPANT_CHECKS)
+
+
+@pytest.mark.parametrize("status,broken", [
+    (Verdict.INCONCLUSIVE, {"ghz-part-verdict"}),
+    (Verdict.NPT_ENTANGLED, {"ppt-region", "ghz-part-verdict"}),
+])
+def test_reproduce_checks_the_separability_verdict(monkeypatch, status, broken):
+    from dqc1lab import reproduce
+
+    real = reproduce.full_separability_verdict
+    flipped = reproduce.ALPHA_GRID[25]  # alpha = 0.25, inside the separable range
+
+    def altered(alpha):
+        verdict = real(alpha)
+        return dataclasses.replace(verdict, status=status) if alpha == flipped else verdict
+
+    monkeypatch.setattr(reproduce, "full_separability_verdict", altered)
+    failed = {c.name for c in reproduce.run_reproduce().checks if not c.passed}
+    assert failed == KNOWN_DISCREPANT_CHECKS | broken
 
 
 def test_sweep_mult_negativity(capsys):
@@ -196,7 +218,10 @@ def test_activate_json_bytes_match_recorded_digest(alpha, seed, capsys):
 
 # SHA-256 of `separability --alpha A` (JSON and text) and of
 # `trace-estimate --n N --alpha 0.5 --seed 3 --json`, recorded while rho3
-# was still built entrywise and the front end repeated the range checks
+# was still built entrywise and the front end repeated the range checks.
+# The four digests at alpha in {0.75, 1} were re-recorded when the NPT
+# witness became the computed smallest partial-transpose eigenvalue in
+# place of the closed form (1-2a)/8; only that line's last bits moved
 SEPARABILITY_DIGESTS = {
     ("0", "--json"): "2fe50318350c24a7e69ee4649c4e93dfbd0d92b01ef2efaf4c1935f89241350e",
     ("0", None): "86d0efb017318fa405448f3f356189e05ae1c3848a95078fbeaa12775cace8b4",
@@ -206,10 +231,10 @@ SEPARABILITY_DIGESTS = {
     ("0.4", None): "3137023d7f2df78176fa24d83cac534c08dfe329b65a76ad69df6961c286ba52",
     ("0.5", "--json"): "1ccb03cd9f2934d56dcd6bbc4e197ca0d4030a42e619a00f175a8d0dcd9748a9",
     ("0.5", None): "910311457f07e63e2e1d67df214f3367b9ba7f63d165970703f7fa5c4a2abc75",
-    ("0.75", "--json"): "dd7d4befc61f446684c1e989f0a1d2ac8d43aa50caeae33c86c4caf82089e705",
-    ("0.75", None): "e0062961720b96c99f1a3d8f4b1b4a2b60a64533074749ed328650b9979718c6",
-    ("1", "--json"): "a5df6f2e94636277e996d3f0da3572b12fb8648bae2baf3717ce2e80e7b66144",
-    ("1", None): "6179fdb3821464eaf733574b0bbc12b0c25fc0f5481b9e749a7f6d31aa0eeb99",
+    ("0.75", "--json"): "73591c3c1009155812bcf73f48d337ceeb6f884fc65c0a7e0007a25b8b7e3015",
+    ("0.75", None): "c297d178d5174de61c2e244a95d65ddb3643981a41bcf13f6dafa64efc5ba1f8",
+    ("1", "--json"): "29d218073a99fd60ffa4208f16fb044e90d00a130526468e4380aee3d5bfae96",
+    ("1", None): "60b3b22197535e75e4ca4ff774ae1fa81d25aca5adb2c55cb93518bc891f7cef",
 }
 TRACE_ESTIMATE_DIGESTS = {
     "2": "1bf8d4aa66a09c4a5f3938187f2c2c9bd4f5f2c7b8e3922a73e58d99d9e717a0",
@@ -551,7 +576,9 @@ def test_separability_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "NptEntangled" in out
-    assert "-0.1" in out
+    witness = re.search(r"witness PT eigenvalue: (\S+)", out)
+    assert witness is not None
+    assert abs(float(witness.group(1)) - (-0.1)) < 1e-12
 
 
 def test_activate_command(capsys):

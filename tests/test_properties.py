@@ -1,9 +1,11 @@
-"""Property tests of the discord-type measures and the activation protocol
-on random few-qubit states.
+"""Property tests of the partial transpose, the discord-type measures and
+the activation protocol on random few-qubit states.
 
 Each example draws a seed and builds its states with the suite's seeded
 random-state helper, so a failure names the seed that reproduces it.
 """
+
+import itertools
 
 import numpy as np
 from conftest import random_density_matrix, random_unitary
@@ -20,6 +22,17 @@ qubits = st.integers(min_value=0, max_value=1)
 
 def two_qubit_state(seed):
     return random_density_matrix(np.random.default_rng(seed), 2)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, num_qubits=st.integers(min_value=2, max_value=4))
+def test_the_partial_transpose_is_an_involution(seed, num_qubits):
+    # the map only permutes entries, so applying it twice restores every bit
+    rho = random_density_matrix(np.random.default_rng(seed), num_qubits)
+    for size in range(1, num_qubits):
+        for cut in itertools.combinations(range(num_qubits), size):
+            twice = d.partial_transpose_matrix(d.partial_transpose(rho, cut), num_qubits, cut)
+            assert np.array_equal(twice, rho.matrix)
 
 
 @PROPERTY_SETTINGS

@@ -253,6 +253,15 @@ def test_full_separability_verdict_examples():
     assert verdict.certificate["witness_eigenvalue"] == pytest.approx(-0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.500001, 0.6, 0.75, 0.9, 1.0])
+def test_npt_witness_is_the_computed_partial_transpose_minimum(alpha):
+    verdict = d.full_separability_verdict(alpha)
+    assert verdict.status is d.Verdict.NPT_ENTANGLED
+    witness = verdict.certificate["witness_eigenvalue"]
+    assert witness == d.separability._min_pt_eigenvalue(d.rho3(alpha).state)
+    assert witness == pytest.approx((1 - 2 * alpha) / 8, abs=1e-12)
+
+
 def test_full_separability_certificate_contents():
     verdict = d.full_separability_verdict(0.4)
     cert = verdict.certificate
