@@ -14,7 +14,6 @@ from .correlations import (
     classical_correlation_many,
     discord,
     discord_many,
-    is_ppt,
     multiplicative_negativity,
     mutual_information,
     negativity,
@@ -51,7 +50,6 @@ from .separability import (
     NonGhzDiagonalError,
     SeparabilityVerdict,
     Verdict,
-    decompose_rho3,
     eta_state,
     full_separability_verdict,
     ghz_diagonal_coefficients,
@@ -71,11 +69,10 @@ __all__ = [
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
     "activate", "activation_sweep", "build_dqc1_state",
     "build_un", "canonical_blocks", "classical_correlation",
-    "classical_correlation_many", "decompose_rho3", "discord", "discord_many",
-    "eta_state",
+    "classical_correlation_many", "discord", "discord_many", "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",
     "ghz_reconstruct", "hermitian_eigensystem", "hermitian_eigenvalues",
-    "is_ppt", "kay_criterion", "kron", "kron_all", "maximally_mixed",
+    "kay_criterion", "kron", "kron_all", "maximally_mixed",
     "multiplicative_negativity", "mutual_information", "negativity",
     "omega_state", "partial_trace", "partial_transpose",
     "partial_transpose_matrix", "pauli_expectation",

@@ -18,14 +18,12 @@ from .linalg import (
     DensityMatrix,
     _check_cut,
     _qubit_set,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     trace_norm,
     von_neumann_entropy,
 )
 
-PPT_TOL = -1e-10
 DISCORD_CLAMP = 1e-9
 DEFAULT_GRID = (64, 128)
 REFINE_TOL = 1e-7
@@ -67,13 +65,6 @@ def negativity(rho: DensityMatrix, cut: Iterable[int]) -> float:
 
 def multiplicative_negativity(rho: DensityMatrix, cut: Iterable[int]) -> float:
     return 1.0 + negativity(rho, cut)
-
-
-def is_ppt(rho: DensityMatrix, cut: Iterable[int]) -> bool:
-    """True iff the partial transpose has no eigenvalue below -1e-10."""
-    cut = _check_cut(cut, rho.num_qubits)
-    w = hermitian_eigenvalues(partial_transpose(rho, cut))
-    return bool(w.min() >= PPT_TOL)
 
 
 def mutual_information(rho: DensityMatrix, part_a: Iterable[int]) -> float:

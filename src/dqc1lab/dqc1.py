@@ -84,10 +84,6 @@ class Dqc1State:
     state: DensityMatrix
     unitary: np.ndarray
 
-    @property
-    def num_qubits(self) -> int:
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class TraceEstimate:

@@ -44,6 +44,7 @@ from .linalg import (
 )
 from .separability import (
     Verdict,
+    _verdict,
     full_separability_verdict,
     ghz_diagonal_coefficients,
     omega_state,
@@ -160,9 +161,9 @@ def run_reproduce() -> ReproduceReport:
         negativity = multiplicative_negativity(state, RHO3_ENTANGLING_CUT)
         neg_dev = max(neg_dev, abs(negativity - negativity_closed_form(a)))
 
-        # the separability verdict: PPT region boundary at alpha = 1/2,
-        # the convex split's residual and the GHZ-diagonal part's verdict
-        verdict = full_separability_verdict(a)
+        # the separability verdict on this state: PPT region boundary at
+        # alpha = 1/2, the split's residual and the GHZ-diagonal part's verdict
+        verdict = _verdict(state, a)
         all_ppt = verdict.status is not Verdict.NPT_ENTANGLED
         if a <= 0.5 and not all_ppt:
             ppt_mistakes += 1
@@ -172,8 +173,11 @@ def run_reproduce() -> ReproduceReport:
         if a <= 0.5 and verdict.status is not Verdict.FULLY_SEPARABLE:
             verdict_mistakes += 1
 
-        # stabilizer coefficients of the GHZ-diagonal part
-        lams = ghz_diagonal_coefficients(omega_state(a))
+        # stabilizer coefficients of the GHZ-diagonal part: the very ones
+        # Kay's verdict rested on, where the state is PPT
+        kay = verdict.certificate.get("ghz_part_verdict")
+        lams = (kay.certificate["lambdas"] if kay is not None
+                else ghz_diagonal_coefficients(omega_state(a)))
         pattern_dev = max(pattern_dev, abs(lams[5]), abs(lams[6]),
                           abs(lams[4] + lams[7]), abs(float(np.prod(lams[4:8]))))
         lam5_dev = max(lam5_dev, abs(lams[4] - 2 * a / (2 - a)))

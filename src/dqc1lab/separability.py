@@ -18,11 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .correlations import PPT_TOL
 from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, rho3
 from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_trace, partial_transpose
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
+PPT_TOL = -1e-10
 
 _PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
@@ -170,12 +170,6 @@ def eta_state() -> DensityMatrix:
     return DensityMatrix(m, 3)
 
 
-def decompose_rho3(alpha: float) -> tuple[float, DensityMatrix, float, DensityMatrix]:
-    """Convex split (1 - alpha/2) * omega(alpha) + (alpha/2) * eta of the
-    three-qubit output state; the reconstruction is exact to 1e-12."""
-    return 1.0 - alpha / 2, omega_state(alpha), alpha / 2, eta_state()
-
-
 def product_vector_purities(state: DensityMatrix) -> list[float]:
     """Purity of each single-qubit reduced state; all 1 for a product vector."""
     return [
@@ -201,8 +195,12 @@ def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
     mixture and the GHZ-diagonal part together with the
     product-criterion verdict on the latter.
     """
-    w1, omega, w2, eta = decompose_rho3(alpha)
-    state = rho3(alpha).state
+    return _verdict(rho3(alpha).state, alpha)
+
+
+def _verdict(state: DensityMatrix, alpha: float) -> SeparabilityVerdict:
+    """full_separability_verdict on an already built ``rho3(alpha).state``."""
+    w1, omega, w2, eta = 1.0 - alpha / 2, omega_state(alpha), alpha / 2, eta_state()
     residual = float(np.abs(w1 * omega.matrix + w2 * eta.matrix - state.matrix).max())
     witness = _min_pt_eigenvalue(state)
     if witness < PPT_TOL:

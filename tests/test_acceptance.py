@@ -80,7 +80,10 @@ def test_criterion_2_multiplicative_negativity_closed_form():
 def test_criterion_3_ppt_region():
     with check("3 ppt-region"):
         for a in ALPHA_GRID:
-            all_ppt = all(d.is_ppt(d.rho3(a).state, cut) for cut in SINGLE_QUBIT_CUTS)
+            state = d.rho3(a).state
+            all_ppt = all(
+                d.hermitian_eigenvalues(d.partial_transpose(state, cut)).min() >= -1e-10
+                for cut in SINGLE_QUBIT_CUTS)
             if 0 < a <= 0.5:
                 assert all_ppt, f"expected PPT under all cuts at alpha={a}"
             if a > 0.5 + 1e-6:
@@ -90,9 +93,8 @@ def test_criterion_3_ppt_region():
 def test_criterion_4_decomposition_identity():
     with check("4 convex-split"):
         for a in ALPHA_GRID:
-            w1, omega, w2, eta = d.decompose_rho3(a)
-            residual = np.abs(
-                w1 * omega.matrix + w2 * eta.matrix - d.rho3(a).state.matrix).max()
+            split = (1 - a / 2) * d.omega_state(a).matrix + (a / 2) * d.eta_state().matrix
+            residual = np.abs(split - d.rho3(a).state.matrix).max()
             assert residual <= 1e-12
 
 

@@ -72,7 +72,7 @@ def test_reproduce_table_mode(capsys):
 
 
 def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
-    from dqc1lab import reproduce, separability
+    from dqc1lab import reproduce
 
     real = reproduce.rho3
     spike = np.zeros((8, 8), dtype=np.complex128)
@@ -84,9 +84,7 @@ def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
         return dataclasses.replace(
             s, state=DensityMatrix((1 - 1e-3) * s.state.matrix + 1e-3 * spike, 3))
 
-    # the split check reads the separability verdict, which builds its own state
     monkeypatch.setattr(reproduce, "rho3", defective)
-    monkeypatch.setattr(separability, "rho3", defective)
     code = main(["reproduce", "--json"])
     payload = json.loads(capsys.readouterr().out)
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
@@ -98,18 +96,29 @@ def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
 @pytest.mark.parametrize("status,broken", [
     (Verdict.INCONCLUSIVE, {"ghz-part-verdict"}),
     (Verdict.NPT_ENTANGLED, {"ppt-region", "ghz-part-verdict"}),
+    # the status stands but Kay's lambdas behind it carry lambda6 = 1e-6
+    pytest.param(Verdict.FULLY_SEPARABLE, {"ghz-coefficient-pattern"}, id="shifted-lambda6"),
 ])
 def test_reproduce_checks_the_separability_verdict(monkeypatch, status, broken):
     from dqc1lab import reproduce
 
-    real = reproduce.full_separability_verdict
+    real = reproduce._verdict
     flipped = reproduce.ALPHA_GRID[25]  # alpha = 0.25, inside the separable range
 
-    def altered(alpha):
-        verdict = real(alpha)
-        return dataclasses.replace(verdict, status=status) if alpha == flipped else verdict
+    def altered(state, alpha):
+        verdict = real(state, alpha)
+        if alpha != flipped:
+            return verdict
+        if status is Verdict.FULLY_SEPARABLE:
+            kay = verdict.certificate["ghz_part_verdict"]
+            lambdas = kay.certificate["lambdas"].copy()
+            lambdas[5] += 1e-6
+            kay = dataclasses.replace(kay, certificate={**kay.certificate, "lambdas": lambdas})
+            return dataclasses.replace(
+                verdict, certificate={**verdict.certificate, "ghz_part_verdict": kay})
+        return dataclasses.replace(verdict, status=status)
 
-    monkeypatch.setattr(reproduce, "full_separability_verdict", altered)
+    monkeypatch.setattr(reproduce, "_verdict", altered)
     failed = {c.name for c in reproduce.run_reproduce().checks if not c.passed}
     assert failed == KNOWN_DISCREPANT_CHECKS | broken
 
@@ -617,12 +626,18 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out.stdout == "False\n"
 
 
-def test_benchmark_traced_names_exist_and_are_called():
-    # the benchmark's tracer wraps functions by name before any command
-    # runs; load its module read-only and run a traced discord sweep
+def benchmark_spans() -> types.ModuleType:
+    """The benchmark's tracer module, loaded read-only from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spans = types.ModuleType("spans")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    return spans
+
+
+def test_benchmark_traced_names_exist_and_are_called():
+    # the benchmark's tracer wraps functions by name before any command
+    # runs; run a traced discord sweep
+    spans = benchmark_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -644,3 +659,20 @@ def test_benchmark_traced_names_exist_and_are_called():
                  "dqc1.rho3"):
         assert name in names
     assert spans.layer_metrics(tracer.spans)["correlations.refine_calls"] == 1
+
+
+def test_traced_reproduce_builds_one_state_per_alpha():
+    # the separability checks read the battery's own state and the Kay
+    # coefficients its verdict extracted, so neither is built twice
+    from dqc1lab import reproduce
+
+    spans = benchmark_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        reproduce.run_reproduce()
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["dqc1.rho3_calls"] == 119
+    assert metrics["separability.pauli_matrix_calls"] == 1616

@@ -166,7 +166,6 @@ ALPHA_ENTRY_POINTS = {
     "rho3": d.rho3,
     "build-dqc1-state": lambda a: d.build_dqc1_state(np.eye(4), a),
     "omega-state": d.omega_state,
-    "decompose-rho3": d.decompose_rho3,
     "full-separability-verdict": d.full_separability_verdict,
     "activation-sweep": lambda a: d.activation_sweep([0.5, a], strategies=2, seed=0),
 }

@@ -168,7 +168,8 @@ def test_kay_inconclusive_when_product_positive():
     eps = 0.05
     lams = np.array([1.0, 0, 0, 0, eps, eps, eps, eps])
     state = d.DensityMatrix(d.ghz_reconstruct(lams), 3)
-    assert all(d.is_ppt(state, cut) for cut in SINGLE_QUBIT_CUTS)
+    assert all(d.hermitian_eigenvalues(d.partial_transpose(state, cut)).min() >= -1e-10
+               for cut in SINGLE_QUBIT_CUTS)
     assert d.kay_criterion(state).status is d.Verdict.INCONCLUSIVE
 
 
@@ -182,20 +183,16 @@ def test_kay_rejects_non_ghz_diagonal_states():
 # --------------------------------------------------------------------------
 
 def test_decomposition_weights_and_edge_cases():
-    w1, omega, w2, eta = d.decompose_rho3(0.0)
-    assert (w1, w2) == (1.0, 0.0)
-    assert np.abs(omega.matrix - np.eye(8) / 8).max() < 1e-15
-
-    w1, omega, w2, eta = d.decompose_rho3(1.0)
-    assert (w1, w2) == (0.5, 0.5)
-    assert np.allclose(np.diag(omega.matrix).real,
+    assert np.abs(d.omega_state(0.0).matrix - np.eye(8) / 8).max() < 1e-15
+    assert np.allclose(np.diag(d.omega_state(1.0).matrix).real,
                        np.array([1, 0, 0, 1, 1, 0, 0, 1]) / 4, atol=1e-15)
+    for a, weights in ((0.0, (1.0, 0.0)), (0.5, (0.75, 0.25))):
+        assert d.full_separability_verdict(a).certificate["weights"] == weights
 
 
 def test_decomposition_reconstructs_rho3_on_grid():
     for a in ALPHAS:
-        w1, omega, w2, eta = d.decompose_rho3(a)
-        lhs = w1 * omega.matrix + w2 * eta.matrix
+        lhs = (1 - a / 2) * d.omega_state(a).matrix + (a / 2) * d.eta_state().matrix
         assert np.abs(lhs - d.rho3(a).state.matrix).max() <= 1e-12
 
 
@@ -226,7 +223,9 @@ def test_eta_state_is_built_once_and_read_only():
 
 def test_omega_ppt_threshold_scan():
     for a in ALPHAS:
-        all_ppt = all(d.is_ppt(d.omega_state(a), cut) for cut in SINGLE_QUBIT_CUTS)
+        omega = d.omega_state(a)
+        all_ppt = all(d.hermitian_eigenvalues(d.partial_transpose(omega, cut)).min() >= -1e-10
+                      for cut in SINGLE_QUBIT_CUTS)
         assert all_ppt == (a <= 0.5)
 
 
@@ -234,11 +233,6 @@ def test_omega_odd_weight_product_vanishes_everywhere():
     for a in ALPHAS:
         lams = d.ghz_diagonal_coefficients(d.omega_state(a))
         assert abs(float(np.prod(lams[4:8]))) < 1e-14
-
-
-def test_decompose_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        d.decompose_rho3(-0.2)
 
 
 # --------------------------------------------------------------------------
