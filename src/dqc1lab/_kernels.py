@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_EIG_FLOOR = 1e-12
+from .linalg import ZERO_EIGENVALUE_TOL
+
 _PROB_FLOOR = 1e-12
 _SLICE = 512
 
@@ -86,7 +87,7 @@ def _slice_objective(blocks: np.ndarray, thetas: np.ndarray,
         a = a[safe]
         a /= p[safe, None, None]
         w = np.linalg.eigvalsh(a)
-        w = np.where(w > _EIG_FLOOR, w, 1.0)
+        w = np.where(w > ZERO_EIGENVALUE_TOL, w, 1.0)
         entropy = -(w * np.log2(w)).sum(axis=1)
         total[safe] += p[safe] * entropy
     return total

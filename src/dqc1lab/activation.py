@@ -54,10 +54,6 @@ class AdversaryStrategy:
         return cls((eye, eye, eye), label="identity")
 
     @classmethod
-    def explicit(cls, u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> "AdversaryStrategy":
-        return cls((u0, u1, u2), label="explicit")
-
-    @classmethod
     def random(cls, seed: int) -> "AdversaryStrategy":
         """One seeded Haar unitary per qubit, drawn by ``linalg._random_unitary``."""
         rng = np.random.default_rng(seed)
@@ -69,11 +65,9 @@ class AdversaryStrategy:
 class ActivationResult:
     multiplicative_negativity: float
     strategy: AdversaryStrategy
-    alpha: float
 
 
-def activate(rho: DensityMatrix, strategy: AdversaryStrategy,
-             alpha: float = float("nan")) -> ActivationResult:
+def activate(rho: DensityMatrix, strategy: AdversaryStrategy) -> ActivationResult:
     """Run the copy protocol on a 3-qubit state and score the split.
 
     Applies the strategy unitaries to the system, CNOTs qubit i onto
@@ -94,8 +88,7 @@ def activate(rho: DensityMatrix, strategy: AdversaryStrategy,
     value = trace_norm(partial_transpose_matrix(big, 6, ANCILLA_CUT))
     if value < 1.0 - 1e-10:
         raise RuntimeError(f"activated trace norm {value} fell below 1")
-    return ActivationResult(multiplicative_negativity=value,
-                            strategy=strategy, alpha=alpha)
+    return ActivationResult(multiplicative_negativity=value, strategy=strategy)
 
 
 def activation_sweep(alphas: Sequence[float], strategies: int,
@@ -121,5 +114,5 @@ def activation_sweep(alphas: Sequence[float], strategies: int,
     for alpha in alphas:
         state = rho3(alpha).state
         for strat in pool:
-            results.append(activate(state, strat, alpha=alpha))
+            results.append(activate(state, strat))
     return results

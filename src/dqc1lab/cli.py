@@ -20,7 +20,6 @@ from .dqc1 import (
     build_dqc1_state,
     build_un,
     canonical_blocks,
-    expectation_xy,
     sample_trace_estimate,
 )
 from .reproduce import CLOSED_FORM_TOL, QUANTITIES, run_reproduce
@@ -93,8 +92,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace_estimate(args: argparse.Namespace) -> int:
     state = build_dqc1_state(build_un(canonical_blocks(), args.n), args.alpha)
-    exact_x, exact_y = expectation_xy(state)
     est = sample_trace_estimate(state, args.shots, args.seed)
+    exact_x, exact_y = est.exact_re, est.exact_im
     estimable = args.alpha > 0
     implied_re = exact_x / args.alpha if estimable else None
     implied_im = exact_y / args.alpha if estimable else None

@@ -90,8 +90,8 @@ QUANTITIES: dict[str, tuple[Callable[[list[float]], list[float]],
         None,
     ),
     "activated-negativity": (
-        lambda alphas: [activate(rho3(a).state, AdversaryStrategy.identity(),
-                                 alpha=a).multiplicative_negativity for a in alphas],
+        lambda alphas: [activate(rho3(a).state, AdversaryStrategy.identity())
+                        .multiplicative_negativity for a in alphas],
         lambda a: (8 + 3 * a) / 8,
     ),
     "separability": (
@@ -212,18 +212,18 @@ def run_reproduce() -> ReproduceReport:
                          "identity plus 25 seeded strategies at alpha in {0.1, 0.5, 1}")
     hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     eye2 = np.eye(2, dtype=np.complex128)
-    best_adversary = AdversaryStrategy.explicit(hadamard, eye2, eye2)
+    best_adversary = AdversaryStrategy((hadamard, eye2, eye2))
     coarse = [(a, rho3(a).state) for a in np.linspace(0.0, 1.0, 11)]
     dev = max(
-        abs(activate(state, best_adversary, alpha=a).multiplicative_negativity
+        abs(activate(state, best_adversary).multiplicative_negativity
             - (8 + 4 * a) / 8)
         for a, state in coarse)
     report.add_deviation(
         "activation-best-adversary-closed-form", dev, CLOSED_FORM_TOL,
         "Hadamard on the clean qubit attains the adversarial floor (8+4a)/8")
     dev = max(
-        abs(activate(state, AdversaryStrategy.identity(),
-                     alpha=a).multiplicative_negativity - activation_closed_form(a))
+        abs(activate(state, AdversaryStrategy.identity()).multiplicative_negativity
+            - activation_closed_form(a))
         for a, state in coarse)
     report.add_deviation(
         "activation-identity-closed-form", dev, CLOSED_FORM_TOL,

@@ -141,8 +141,8 @@ def test_criterion_6_activation():
         # plus the off-diagonal l1 mass: eight couplings a/8 give 1 + a
         for a in np.linspace(0.0, 1.0, 11):
             m = d.rho3(a).state.matrix
-            got = d.activate(d.rho3(a).state, d.AdversaryStrategy.identity(),
-                             alpha=a).multiplicative_negativity
+            got = d.activate(d.rho3(a).state,
+                             d.AdversaryStrategy.identity()).multiplicative_negativity
             oracle = 1 + (np.abs(m).sum() - np.abs(np.diag(m)).sum())
             assert abs(got - oracle) <= 1e-9, (
                 f"identity activation at alpha={a}: computed {got:.12f} vs "

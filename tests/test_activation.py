@@ -54,7 +54,7 @@ def test_cnot_rejects_index_clash():
 
 def test_activation_of_maximally_mixed_is_one():
     for strategy in (d.AdversaryStrategy.identity(), d.AdversaryStrategy.random(5)):
-        result = d.activate(d.rho3(0.0).state, strategy, alpha=0.0)
+        result = d.activate(d.rho3(0.0).state, strategy)
         assert result.multiplicative_negativity == pytest.approx(1.0, abs=1e-10)
 
 
@@ -64,7 +64,7 @@ def test_identity_strategy_matches_protocol_oracle():
     eye = np.eye(2, dtype=complex)
     for a in (0.25, 0.5, 1.0):
         rho = d.rho3(a).state
-        got = d.activate(rho, d.AdversaryStrategy.identity(), alpha=a)
+        got = d.activate(rho, d.AdversaryStrategy.identity())
         oracle = activation_oracle(rho, [eye, eye, eye])
         assert got.multiplicative_negativity == pytest.approx(oracle, abs=1e-10)
         assert got.multiplicative_negativity == pytest.approx(1 + a, abs=1e-9)
@@ -77,8 +77,8 @@ def test_hadamard_on_clean_qubit_attains_the_floor():
     eye = np.eye(2, dtype=complex)
     for a in (0.25, 0.5, 1.0):
         rho = d.rho3(a).state
-        strategy = d.AdversaryStrategy.explicit(HADAMARD, eye, eye)
-        got = d.activate(rho, strategy, alpha=a)
+        strategy = d.AdversaryStrategy((HADAMARD, eye, eye))
+        got = d.activate(rho, strategy)
         oracle = activation_oracle(rho, [HADAMARD, eye, eye])
         assert got.multiplicative_negativity == pytest.approx(oracle, abs=1e-10)
         assert got.multiplicative_negativity == pytest.approx(1 + a / 2, abs=1e-9)
@@ -88,7 +88,7 @@ def test_every_random_strategy_leaves_distillable_entanglement():
     for a in (0.1, 0.5, 1.0):
         rho = d.rho3(a).state
         for seed in range(50):
-            result = d.activate(rho, d.AdversaryStrategy.random(seed), alpha=a)
+            result = d.activate(rho, d.AdversaryStrategy.random(seed))
             assert result.multiplicative_negativity > 1 + 1e-6
             # no strategy can beat the clean-qubit flag basis
             assert result.multiplicative_negativity >= 1 + a / 2 - 1e-9
@@ -97,7 +97,7 @@ def test_every_random_strategy_leaves_distillable_entanglement():
 def test_random_strategy_matches_protocol_oracle():
     rho = d.rho3(0.7).state
     strategy = d.AdversaryStrategy.random(123)
-    got = d.activate(rho, strategy, alpha=0.7)
+    got = d.activate(rho, strategy)
     oracle = activation_oracle(rho, list(strategy.unitaries))
     assert got.multiplicative_negativity == pytest.approx(oracle, abs=1e-10)
 
@@ -147,7 +147,7 @@ def test_copy_permutation_matches_dense_cnot_sandwich_bitwise(alpha):
             dense = g @ dense @ g.conj().T
         dense = (dense + dense.conj().T) / 2
         expected = d.trace_norm(d.partial_transpose(d.DensityMatrix(dense, 6), (3, 4, 5)))
-        assert d.activate(rho, strategy, alpha=alpha).multiplicative_negativity == expected
+        assert d.activate(rho, strategy).multiplicative_negativity == expected
 
 
 def test_ancilla_relabeling_invariance():
@@ -186,7 +186,7 @@ def test_activate_requires_three_qubits():
 
 def test_strategy_validation():
     with pytest.raises(ValueError, match="unitarity"):
-        d.AdversaryStrategy.explicit(np.ones((2, 2)), np.eye(2), np.eye(2))
+        d.AdversaryStrategy((np.ones((2, 2)), np.eye(2), np.eye(2)))
 
 
 def test_sweep_includes_identity_first_and_is_deterministic():

@@ -384,12 +384,11 @@ NON_FINITE_INPUTS = {
                        "non-finite"),
     "dqc1-unitary": (lambda: d.build_dqc1_state(nan_coupling(np.eye(4)), 0.5),
                      "non-finite"),
-    # b1 only: its NaN defect must not hide behind the zero defect of a1
+    # b1 only: every block is admitted, not just the first
     "block-spec": (lambda: dataclasses.replace(
-        d.canonical_blocks(), b1=nan_coupling(np.diag([1.0, 0.0]))).validate(),
-        "non-finite"),
-    "adversary-unitary": (lambda: d.AdversaryStrategy.explicit(
-        np.eye(2), nan_coupling(np.eye(2)), np.eye(2)), "non-finite"),
+        d.canonical_blocks(), b1=nan_coupling(np.diag([1.0, 0.0]))), "non-finite"),
+    "adversary-unitary": (lambda: d.AdversaryStrategy((
+        np.eye(2), nan_coupling(np.eye(2)), np.eye(2))), "non-finite"),
     # a NaN defect is no defect to a `>` test: these returned numbers
     "hermitian-eigenvalues": (lambda: d.hermitian_eigenvalues(nan_coupling(np.eye(2))),
                               "non-finite"),

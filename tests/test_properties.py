@@ -94,7 +94,7 @@ def test_activation_equals_one_plus_the_off_diagonal_l1_norm(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, 3)
     u0, u1, u2 = (random_unitary(rng, 2) for _ in range(3))
-    strategy = d.AdversaryStrategy.explicit(u0, u1, u2)
+    strategy = d.AdversaryStrategy((u0, u1, u2))
     u = np.kron(np.kron(u0, u1), u2)
     r = u @ rho.matrix @ u.conj().T
     l1 = np.abs(r).sum() - np.abs(np.diagonal(r)).sum()
