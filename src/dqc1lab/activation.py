@@ -18,15 +18,10 @@ import numpy as np
 
 from .dqc1 import rho3
 from .linalg import (UNITARITY_TOL, DensityMatrix, _as_complex_matrix, _random_unitary,
-                     partial_transpose_matrix, trace_norm, unitarity_defect)
+                     trace_norm, unitarity_defect)
 
-ANCILLA_CUT = (3, 4, 5)
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
 MAX_STRATEGIES = 100_000
-
-#: The copy gates map |s>|000> to |s>|s>, six-qubit index 8s + s = 9s.
-_COPIED = 9 * np.arange(8)
-_COPIED.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -46,6 +41,9 @@ class AdversaryStrategy:
                 raise ValueError("strategy unitary fails unitarity within 1e-12")
             u.setflags(write=False)
             checked.append(u)
+        if len(checked) != 3:
+            raise ValueError(f"a strategy takes 3 unitaries, one per system qubit, "
+                             f"got {len(checked)}")
         object.__setattr__(self, "unitaries", tuple(checked))
 
     @classmethod
@@ -72,20 +70,22 @@ def activate(rho: DensityMatrix, strategy: AdversaryStrategy) -> ActivationResul
 
     Applies the strategy unitaries to the system, CNOTs qubit i onto
     ancilla i+3 (all starting in |0>), and returns the trace norm of the
-    partial transpose over the ancillas.  The copied six-qubit state is
-    the rotated state r at rows and columns 9s, zero elsewhere: a basis
-    permutation of r (+) 0 with the same entries, trace and nonzero
-    spectrum, so admitting r admits the copied state.
+    partial transpose over the ancillas.  The copy gates put the rotated
+    state's entry r[s, t] at six-qubit row and column 9s, 9t; transposing
+    the ancilla bits moves it to (8s + t, 8t + s), so the partial
+    transpose is placed there directly, zero elsewhere.  The copied
+    state is a basis permutation of r (+) 0, so admitting r admits it.
     """
     if rho.num_qubits != 3:
         raise ValueError("activation protocol expects a 3-qubit system state")
     u0, u1, u2 = strategy.unitaries
     u = np.kron(np.kron(u0, u1), u2)
     r = u @ rho.matrix @ u.conj().T
-    r = DensityMatrix((r + r.conj().T) / 2, 3).matrix
-    big = np.zeros((64, 64), dtype=np.complex128)
-    big[_COPIED[:, None], _COPIED] = r
-    value = trace_norm(partial_transpose_matrix(big, 6, ANCILLA_CUT))
+    r = DensityMatrix((r + r.conj().T) / 2).matrix
+    s, t = np.indices((8, 8))
+    pt = np.zeros((64, 64), dtype=np.complex128)
+    pt[8 * s + t, 8 * t + s] = r
+    value = trace_norm(pt)
     if value < 1.0 - 1e-10:
         raise RuntimeError(f"activated trace norm {value} fell below 1")
     return ActivationResult(multiplicative_negativity=value, strategy=strategy)

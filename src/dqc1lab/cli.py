@@ -146,7 +146,7 @@ def cmd_separability(args: argparse.Namespace) -> int:
                          indent=2, default=_json_default))
     else:
         print(f"alpha={args.alpha}: {verdict.status.value}")
-        cert = verdict.certificate or {}
+        cert = verdict.certificate
         if "witness_eigenvalue" in cert:
             print(f"  witness PT eigenvalue: {_fmt(cert['witness_eigenvalue'])}")
         if "weights" in cert:

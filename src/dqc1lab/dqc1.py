@@ -71,10 +71,12 @@ def canonical_blocks() -> UnitaryBlockSpec:
 
 @dataclass(frozen=True)
 class Dqc1State:
-    """Joint output state of the circuit for one polarization value."""
+    """Joint output state of the circuit for one polarization value.
+
+    ``unitary`` acts on the register; the state has one qubit more.
+    """
 
     alpha: float
-    n: int
     state: DensityMatrix
     unitary: np.ndarray
 
@@ -123,22 +125,21 @@ def build_un(spec: UnitaryBlockSpec, n: int) -> np.ndarray:
 
 
 def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
-    """Joint (n+1)-qubit output state for register unitary u and polarization alpha."""
+    """Joint (n+1)-qubit output state for register unitary u and polarization alpha.
+
+    A u whose dimension is not 2**n fails the state's dimension rule.
+    """
     u = _as_complex_matrix(u)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not unitarity_defect(u) <= UNITARITY_TOL:
         raise ValueError("u is not unitary within 1e-12")
     dim = u.shape[0]
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"unitary dim {dim} is not a power of 2")
     rho = np.eye(2 * dim, dtype=np.complex128)
     rho[:dim, dim:] = alpha * u.conj().T
     rho[dim:, :dim] = alpha * u
     rho /= 2 * dim
-    return Dqc1State(alpha=float(alpha), n=n,
-                     state=DensityMatrix(rho, n + 1), unitary=u)
+    return Dqc1State(alpha=float(alpha), state=DensityMatrix(rho), unitary=u)
 
 
 def rho3(alpha: float) -> Dqc1State:
@@ -166,7 +167,7 @@ def expectation_xy(s: Dqc1State) -> tuple[float, float]:
     with the direct operator average tr[(P tensor I) rho] to 1e-12.
     """
     tr_u = np.trace(s.unitary)
-    scale = s.alpha / 2**s.n
+    scale = s.alpha / s.unitary.shape[0]
     return float(scale * tr_u.real), float(scale * tr_u.imag)
 
 

@@ -8,7 +8,7 @@ leading bit of ``i``.  All entropies are in bits (base-2 logarithms).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +31,15 @@ def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _qubit_count(m: np.ndarray) -> int:
+    """n for a 2**n x 2**n matrix; the one rule that admits a dimension."""
+    dim = m.shape[0]
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 2**n:
+        raise ValueError(f"matrix dim {dim} is not 2**n for a qubit count n >= 1")
+    return n
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-norm distance of m from its own conjugate transpose."""
     return float(np.abs(m - m.conj().T).max())
@@ -45,24 +54,19 @@ def unitarity_defect(u: np.ndarray) -> float:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on qubits.
 
-    Validates all three defining properties on construction:
+    ``num_qubits`` is read from the dimension, which must be 2**n with
+    n >= 1.  Validates all three defining properties on construction:
     hermiticity within 1e-12 (max-norm), trace 1 within 1e-12, and
     smallest eigenvalue >= -1e-10 (slack for rounding accumulated in
     long Kronecker chains).
     """
 
     matrix: np.ndarray
-    num_qubits: int
+    num_qubits: int = field(init=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        object.__setattr__(self, "num_qubits", operator.index(self.num_qubits))
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-        if m.shape[0] != 2**self.num_qubits:
-            raise ValueError(
-                f"matrix dim {m.shape[0]} does not match {self.num_qubits} qubits"
-            )
+        object.__setattr__(self, "num_qubits", _qubit_count(m))
         if hermiticity_defect(m) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -72,14 +76,10 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def maximally_mixed(num_qubits: int) -> DensityMatrix:
     d = 2**num_qubits
-    return DensityMatrix(np.eye(d, dtype=np.complex128) / d, num_qubits)
+    return DensityMatrix(np.eye(d, dtype=np.complex128) / d)
 
 
 # Seeded random inputs for the battery, the adversaries and the tests.
@@ -94,7 +94,7 @@ def _random_density_matrix(rng: np.random.Generator, num_qubits: int) -> Density
     g = _complex_gaussian(rng, 2**num_qubits)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix((m + m.conj().T) / 2, num_qubits)
+    return DensityMatrix((m + m.conj().T) / 2)
 
 
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -172,17 +172,15 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return w[::-1]
 
 
-def partial_transpose_matrix(m: np.ndarray, num_qubits: int,
-                             transposed: Iterable[int]) -> np.ndarray:
-    """Partial transpose of a raw matrix over ``num_qubits`` qubits.
+def partial_transpose_matrix(m: np.ndarray, transposed: Iterable[int]) -> np.ndarray:
+    """Partial transpose of a raw 2**n x 2**n matrix over its n qubits.
 
     Transposing every qubit is allowed and equals the full transpose;
     bipartition semantics (strict subsets) are enforced by the callers
     that need a two-sided cut.
     """
     m = _as_complex_matrix(m)
-    if m.shape[0] != 2**num_qubits:
-        raise ValueError(f"matrix dim {m.shape[0]} does not match {num_qubits} qubits")
+    num_qubits = _qubit_count(m)
     cut = _check_cut(transposed, num_qubits, allow_full=True)
     t = m.reshape([2] * (2 * num_qubits))
     for q in cut:
@@ -197,7 +195,7 @@ def partial_transpose(rho: DensityMatrix, transposed: Iterable[int]) -> np.ndarr
     need not be positive, which is exactly what makes it useful as an
     entanglement witness.
     """
-    return partial_transpose_matrix(rho.matrix, rho.num_qubits, transposed)
+    return partial_transpose_matrix(rho.matrix, transposed)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -218,7 +216,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     d = 2 ** len(kept)
     out = t.reshape(d, d)
     out = (out + out.conj().T) / 2
-    return DensityMatrix(out, len(kept))
+    return DensityMatrix(out)
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -244,7 +242,7 @@ def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
     Returns +inf when the support of x is not contained in the support
     of y, which distinguishes the divergent case from numeric failure.
     """
-    if x.dim != y.dim:
+    if x.num_qubits != y.num_qubits:
         raise ValueError("states must share one Hilbert space")
     wx, vx = hermitian_eigensystem(x.matrix)
     wy, vy = hermitian_eigensystem(y.matrix)

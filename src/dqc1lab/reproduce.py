@@ -281,7 +281,7 @@ def run_reproduce() -> ReproduceReport:
         state = _random_density_matrix(rng, nq)
         size = int(rng.integers(1, nq))
         cut = tuple(sorted(rng.choice(nq, size=size, replace=False)))
-        twice = partial_transpose_matrix(partial_transpose(state, cut), nq, cut)
+        twice = partial_transpose_matrix(partial_transpose(state, cut), cut)
         dev = max(dev, float(np.abs(twice - state.matrix).max()))
     report.add_deviation("pt-involution", dev, 1e-14,
                          "double partial transpose restores the state")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,7 +43,7 @@ class SeparabilityVerdict:
     """Certified separability status with the evidence that produced it."""
 
     status: Verdict
-    certificate: Optional[dict] = None
+    certificate: dict
 
 
 class NonGhzDiagonalError(ValueError):
@@ -151,7 +150,7 @@ def omega_state(alpha: float) -> DensityMatrix:
     for i, j in ((0, 7), (3, 4)):
         m[i, j] = alpha
         m[j, i] = alpha
-    return DensityMatrix(m / (8 - 4 * alpha), 3)
+    return DensityMatrix(m / (8 - 4 * alpha))
 
 
 def _eta_components() -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +166,7 @@ def eta_state() -> DensityMatrix:
     """Even mixture of the product vectors |+>|0>|1> and |+>|1>|0>; built once."""
     phi, psi = _eta_components()
     m = (np.outer(phi, phi.conj()) + np.outer(psi, psi.conj())) / 2
-    return DensityMatrix(m, 3)
+    return DensityMatrix(m)
 
 
 def product_vector_purities(state: DensityMatrix) -> list[float]:
@@ -181,7 +180,7 @@ def product_vector_purities(state: DensityMatrix) -> list[float]:
 @functools.cache
 def _eta_component_purities() -> tuple[tuple[float, ...], ...]:
     """Single-qubit purities of each pure component of eta, all 1."""
-    return tuple(tuple(product_vector_purities(DensityMatrix(np.outer(v, v.conj()), 3)))
+    return tuple(tuple(product_vector_purities(DensityMatrix(np.outer(v, v.conj()))))
                  for v in _eta_components())
 
 

@@ -14,7 +14,7 @@ def random_product_state(rng: np.random.Generator, num_qubits: int) -> DensityMa
     m = np.array([[1.0 + 0j]])
     for _ in range(num_qubits):
         m = np.kron(m, random_density_matrix(rng, 1).matrix)
-    return DensityMatrix(m, num_qubits)
+    return DensityMatrix(m)
 
 
 def cnot(control: int, target: int, num_qubits: int) -> np.ndarray:

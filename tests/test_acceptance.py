@@ -221,8 +221,7 @@ def test_criterion_9_property_suites():
             rho = random_density_matrix(rng, nq)
             size = int(rng.integers(1, nq))
             cut = tuple(sorted(rng.choice(nq, size=size, replace=False)))
-            twice = d.partial_transpose_matrix(
-                d.partial_transpose(rho, cut), nq, cut)
+            twice = d.partial_transpose_matrix(d.partial_transpose(rho, cut), cut)
             assert np.abs(twice - rho.matrix).max() < 1e-15
 
         for _ in range(100):

@@ -118,14 +118,14 @@ def test_intermediate_states_stay_valid():
     anc = np.zeros((8, 8), dtype=complex)
     anc[0, 0] = 1.0
     big = np.kron(rho.matrix, anc)
-    d.DensityMatrix(big, 6)
+    d.DensityMatrix(big)
     v = d.kron_all(*strategy.unitaries, np.eye(2), np.eye(2), np.eye(2))
     big = v @ big @ v.conj().T
-    d.DensityMatrix((big + big.conj().T) / 2, 6)
+    d.DensityMatrix((big + big.conj().T) / 2)
     for i in range(3):
         g = cnot(i, i + 3, 6)
         big = g @ big @ g.conj().T
-        d.DensityMatrix((big + big.conj().T) / 2, 6)
+        d.DensityMatrix((big + big.conj().T) / 2)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
@@ -146,7 +146,7 @@ def test_copy_permutation_matches_dense_cnot_sandwich_bitwise(alpha):
             g = cnot(i, i + 3, 6)
             dense = g @ dense @ g.conj().T
         dense = (dense + dense.conj().T) / 2
-        expected = d.trace_norm(d.partial_transpose(d.DensityMatrix(dense, 6), (3, 4, 5)))
+        expected = d.trace_norm(d.partial_transpose(d.DensityMatrix(dense), (3, 4, 5)))
         assert d.activate(rho, strategy).multiplicative_negativity == expected
 
 
@@ -161,7 +161,7 @@ def test_ancilla_relabeling_invariance():
         for i, target in enumerate(pairing):
             g = cnot(i, target, 6)
             state = g @ state @ g.conj().T
-        value = d.trace_norm(d.partial_transpose_matrix(state, 6, (3, 4, 5)))
+        value = d.trace_norm(d.partial_transpose_matrix(state, (3, 4, 5)))
         assert value == pytest.approx(1 + 0.6, abs=1e-10)
 
 
@@ -187,6 +187,9 @@ def test_activate_requires_three_qubits():
 def test_strategy_validation():
     with pytest.raises(ValueError, match="unitarity"):
         d.AdversaryStrategy((np.ones((2, 2)), np.eye(2), np.eye(2)))
+    for count in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"3 unitaries, one per system qubit, got {count}"):
+            d.AdversaryStrategy((np.eye(2),) * count)
 
 
 def test_sweep_includes_identity_first_and_is_deterministic():

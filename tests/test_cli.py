@@ -71,7 +71,7 @@ def test_reproduce_table_mode(capsys):
     assert "checks passed" in out
 
 
-def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
+def test_reproduce_fails_more_checks_on_a_defective_state(monkeypatch, capsys):
     from dqc1lab import reproduce
 
     real = reproduce.rho3
@@ -82,7 +82,7 @@ def test_reproduce_perturbation_hook_breaks_more_checks(monkeypatch, capsys):
         # mixing toward a pure state keeps the defect admissible
         s = real(alpha)
         return dataclasses.replace(
-            s, state=DensityMatrix((1 - 1e-3) * s.state.matrix + 1e-3 * spike, 3))
+            s, state=DensityMatrix((1 - 1e-3) * s.state.matrix + 1e-3 * spike))
 
     monkeypatch.setattr(reproduce, "rho3", defective)
     code = main(["reproduce", "--json"])

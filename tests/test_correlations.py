@@ -110,7 +110,7 @@ def test_mutual_information_of_product_state():
 def test_mutual_information_of_maximally_entangled_pair():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)
-    rho = d.DensityMatrix(np.outer(v, v.conj()), 2)
+    rho = d.DensityMatrix(np.outer(v, v.conj()))
     assert d.mutual_information(rho, (0,)) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_conditional_entropy_of_product_state():
     rng = np.random.default_rng(35)
     a = random_density_matrix(rng, 1)
     rest = random_density_matrix(rng, 2)
-    joint = d.DensityMatrix(np.kron(a.matrix, rest.matrix), 3)
+    joint = d.DensityMatrix(np.kron(a.matrix, rest.matrix))
     s_rest = d.von_neumann_entropy(rest)
     for theta, phi in ((0.0, 0.0), (np.pi / 2, 0.3), (1.1, 4.0)):
         got = conditional_entropy(joint, 0, d.MeasurementBasis(theta, phi))
@@ -156,7 +156,7 @@ def test_conditional_entropy_of_classical_mixture_in_z_basis():
     rest = random_density_matrix(rng, 1)
     p = 0.3
     joint = d.DensityMatrix(
-        np.kron(np.diag([p, 1 - p]).astype(complex), rest.matrix), 2)
+        np.kron(np.diag([p, 1 - p]).astype(complex), rest.matrix))
     got = conditional_entropy(joint, 0, d.MeasurementBasis(0.0, 0.0))
     assert got == pytest.approx(d.von_neumann_entropy(rest), abs=1e-12)
 
@@ -171,7 +171,7 @@ def test_conditional_entropy_skips_zero_probability_outcome():
     rng = np.random.default_rng(37)
     rest = random_density_matrix(rng, 1)
     joint = d.DensityMatrix(
-        np.kron(np.diag([0.0, 1.0]).astype(complex), rest.matrix), 2)
+        np.kron(np.diag([0.0, 1.0]).astype(complex), rest.matrix))
     got = conditional_entropy(joint, 0, d.MeasurementBasis(0.0, 0.0))
     assert got == pytest.approx(d.von_neumann_entropy(rest), abs=1e-12)
 
@@ -478,7 +478,7 @@ def screen_cases():
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         for m in (real @ real.T, random_density_matrix(rng, n).matrix,
                   np.outer(psi, psi.conj())):
-            rho = d.DensityMatrix(m / np.trace(m).real, n)
+            rho = d.DensityMatrix(m / np.trace(m).real)
             cases += [(rho, 0), (rho, n - 1)]
     return cases
 
@@ -529,7 +529,7 @@ def test_classical_correlation_of_product_state():
 def test_classical_correlation_of_classically_correlated_pair():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5
-    rho = d.DensityMatrix(m, 2)
+    rho = d.DensityMatrix(m)
     value, basis = d.classical_correlation(rho, 0)
     assert value == pytest.approx(1.0, abs=1e-7)
     # theta = 0 and theta = pi are both optimal; ties break low
@@ -617,7 +617,7 @@ def test_discord_zero_for_state_diagonal_in_rotated_product_basis():
     probs = rng.dirichlet(np.ones(4))
     diag = np.diag(probs).astype(complex)
     u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-    rho = d.DensityMatrix(u @ diag @ u.conj().T, 2)
+    rho = d.DensityMatrix(u @ diag @ u.conj().T)
     assert d.discord(rho, 0).discord < 1e-6
     assert d.discord(rho, 1).discord < 1e-6
 
@@ -627,7 +627,7 @@ def test_discord_invariant_under_unmeasured_local_unitaries():
     rho = d.rho3(0.5).state
     base = d.discord(rho, 1)
     w = np.kron(random_unitary(rng, 2), np.kron(np.eye(2), random_unitary(rng, 2)))
-    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T, 3)
+    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
     result = d.discord(rotated, 1)
     assert result.discord == pytest.approx(base.discord, abs=1e-6)
     assert result.classical_correlation == pytest.approx(
@@ -639,7 +639,7 @@ def test_discord_invariant_under_measured_qubit_rotation():
     rho = random_density_matrix(rng, 2)
     base = d.discord(rho, 0)
     w = np.kron(random_unitary(rng, 2), np.eye(2))
-    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T, 2)
+    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
     result = d.discord(rotated, 0)
     assert result.discord == pytest.approx(base.discord, abs=1e-6)
 

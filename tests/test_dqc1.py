@@ -93,7 +93,7 @@ def test_dqc1_state_block_structure():
     s = d.build_dqc1_state(u, 0.7)
     m = s.state.matrix
     dim = 8
-    norm = 2 ** (s.n + 1)
+    norm = 2 ** s.state.num_qubits
     assert np.abs(m[:dim, dim:] - 0.7 * u.conj().T / norm).max() < 1e-15
     assert np.abs(m[:dim, :dim] - np.eye(dim) / norm).max() < 1e-15
     assert np.abs(m[dim:, dim:] - np.eye(dim) / norm).max() < 1e-15

@@ -120,14 +120,14 @@ def test_partial_transpose_is_involution():
         size = int(rng.integers(1, nq))
         cut = tuple(sorted(rng.choice(nq, size=size, replace=False)))
         once = d.partial_transpose(rho, cut)
-        twice = d.partial_transpose_matrix(once, nq, cut)
+        twice = d.partial_transpose_matrix(once, cut)
         assert np.abs(twice - rho.matrix).max() < 1e-15
 
 
 def test_transposing_every_qubit_is_full_transpose():
     rng = np.random.default_rng(4)
     rho = random_density_matrix(rng, 3)
-    got = d.partial_transpose_matrix(rho.matrix, 3, (0, 1, 2))
+    got = d.partial_transpose_matrix(rho.matrix, (0, 1, 2))
     assert np.allclose(got, rho.matrix.T, atol=0)
 
 
@@ -173,7 +173,7 @@ def test_partial_trace_of_product_state():
     rng = np.random.default_rng(6)
     a = random_density_matrix(rng, 1)
     b = random_density_matrix(rng, 2)
-    joint = d.DensityMatrix(np.kron(a.matrix, b.matrix), 3)
+    joint = d.DensityMatrix(np.kron(a.matrix, b.matrix))
     assert np.abs(d.partial_trace(joint, (0,)).matrix - a.matrix).max() < 1e-14
     assert np.abs(d.partial_trace(joint, (1, 2)).matrix - b.matrix).max() < 1e-14
 
@@ -237,9 +237,8 @@ def test_float_qubit_index_is_rejected(call):
 @pytest.mark.parametrize("call, bad, good", [
     (lambda k: d.sample_trace_estimate(d.build_dqc1_state(np.eye(4), 1.0), k, 1),
      1000.7, np.int64(1000)),
-    (lambda k: d.DensityMatrix(np.eye(8) / 8, k), 3.0, np.int32(3)),
     (lambda k: d.activation_sweep([0.5], k, 0), 2.5, np.int64(2)),
-], ids=["shots", "num-qubits", "strategies"])
+], ids=["shots", "strategies"])
 def test_float_count_is_rejected(call, bad, good):
     call(good)
     with pytest.raises(TypeError):
@@ -281,7 +280,7 @@ def test_trace_norm_of_pauli_z():
 
 def test_entropy_of_pure_state_is_zero():
     v = np.array([1, 1j, 0, 0], dtype=complex) / np.sqrt(2)
-    rho = d.DensityMatrix(np.outer(v, v.conj()), 2)
+    rho = d.DensityMatrix(np.outer(v, v.conj()))
     assert abs(d.von_neumann_entropy(rho)) < 1e-12
 
 
@@ -304,7 +303,7 @@ def test_entropy_invariant_under_conjugation():
         nq = int(rng.integers(1, 4))
         rho = random_density_matrix(rng, nq)
         u = random_unitary(rng, 2**nq)
-        rotated = d.DensityMatrix(u @ rho.matrix @ u.conj().T, nq)
+        rotated = d.DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert abs(d.von_neumann_entropy(rotated) - d.von_neumann_entropy(rho)) < 1e-10
         assert 0 <= d.von_neumann_entropy(rho) <= nq + 1e-12
 
@@ -328,14 +327,14 @@ def test_relative_entropy_to_maximally_mixed():
 
 
 def test_relative_entropy_diagonal_case():
-    pure = d.DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
+    pure = d.DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     mixed = d.maximally_mixed(1)
     assert abs(d.relative_entropy(pure, mixed) - 1.0) < 1e-12
 
 
 def test_relative_entropy_support_violation_is_infinite():
-    zero = d.DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
-    one = d.DensityMatrix(np.diag([0.0, 1.0]).astype(complex), 1)
+    zero = d.DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    one = d.DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     assert d.relative_entropy(one, zero) == float("inf")
 
 
@@ -355,21 +354,37 @@ def test_relative_entropy_nonnegative_with_equality_iff_equal():
 # DensityMatrix admission
 # --------------------------------------------------------------------------
 
+# every qubit count is read from a dimension, which must be 2**n with n >= 1
+BAD_DIMENSIONS = {
+    "density-matrix-0x0": lambda: d.DensityMatrix(np.zeros((0, 0))),
+    "density-matrix-1x1": lambda: d.DensityMatrix(np.eye(1)),
+    "density-matrix-6x6": lambda: d.DensityMatrix(np.eye(6) / 6),
+    "partial-transpose-6x6": lambda: d.partial_transpose_matrix(np.eye(6), (0,)),
+    "dqc1-state-3x3-unitary": lambda: d.build_dqc1_state(np.eye(3), 0.5),
+}
+
+
+@pytest.mark.parametrize("build", BAD_DIMENSIONS.values(), ids=BAD_DIMENSIONS.keys())
+def test_dimension_rule_rejects_a_dimension_not_a_power_of_two(build):
+    with pytest.raises(ValueError, match=r"is not 2\*\*n for a qubit count n >= 1"):
+        build()
+
+
 def test_density_matrix_rejects_non_hermitian():
     m = np.eye(2, dtype=complex) / 2
     m[0, 1] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
-        d.DensityMatrix(m, 1)
+        d.DensityMatrix(m)
 
 
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
-        d.DensityMatrix(np.eye(2, dtype=complex), 1)
+        d.DensityMatrix(np.eye(2, dtype=complex))
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalue"):
-        d.DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
+        d.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
 def nan_coupling(m):
@@ -380,7 +395,7 @@ def nan_coupling(m):
 
 # (constructor, message) for each boundary that takes a matrix from outside
 NON_FINITE_INPUTS = {
-    "density-matrix": (lambda: d.DensityMatrix(nan_coupling(np.eye(4) / 4), 2),
+    "density-matrix": (lambda: d.DensityMatrix(nan_coupling(np.eye(4) / 4)),
                        "non-finite"),
     "dqc1-unitary": (lambda: d.build_dqc1_state(nan_coupling(np.eye(4)), 0.5),
                      "non-finite"),
@@ -405,7 +420,7 @@ NON_FINITE_INPUTS = {
     "kron": (lambda: d.kron(np.eye(2), nan_coupling(np.eye(2))), "non-finite"),
     "kron-all": (lambda: d.kron_all(np.eye(2), np.eye(2), nan_coupling(np.eye(2))),
                  "non-finite"),
-    "partial-transpose": (lambda: d.partial_transpose_matrix(nan_coupling(np.eye(4)), 2, (0,)),
+    "partial-transpose": (lambda: d.partial_transpose_matrix(nan_coupling(np.eye(4)), (0,)),
                           "non-finite"),
     "ghz-reconstruct": (lambda: d.ghz_reconstruct([np.nan] * 8), "non-finite"),
 }

@@ -31,7 +31,7 @@ def test_the_partial_transpose_is_an_involution(seed, num_qubits):
     rho = random_density_matrix(np.random.default_rng(seed), num_qubits)
     for size in range(1, num_qubits):
         for cut in itertools.combinations(range(num_qubits), size):
-            twice = d.partial_transpose_matrix(d.partial_transpose(rho, cut), num_qubits, cut)
+            twice = d.partial_transpose_matrix(d.partial_transpose(rho, cut), cut)
             assert np.array_equal(twice, rho.matrix)
 
 
@@ -72,14 +72,14 @@ def test_a_local_unitary_on_an_unmeasured_qubit_leaves_the_correlations(
     # search folds mirrored cells together on one side and only antipodal
     # cells on the other
     rng = np.random.default_rng(seed)
-    rho = d.DensityMatrix(random_density_matrix(rng, num_qubits).matrix.real, num_qubits)
+    rho = d.DensityMatrix(random_density_matrix(rng, num_qubits).matrix.real)
     measured = data.draw(st.integers(min_value=0, max_value=num_qubits - 1))
     rotated_qubit = data.draw(st.sampled_from(
         [q for q in range(num_qubits) if q != measured]))
     w = np.array([[1.0 + 0j]])
     for q in range(num_qubits):
         w = np.kron(w, random_unitary(rng, 2) if q == rotated_qubit else np.eye(2))
-    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T, num_qubits)
+    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
     base, moved = d.discord(rho, measured), d.discord(rotated, measured)
     assert abs(moved.discord - base.discord) <= 1e-9
     assert abs(moved.classical_correlation - base.classical_correlation) <= 1e-9
@@ -113,5 +113,5 @@ def test_negativity_is_unchanged_by_a_product_of_single_qubit_unitaries(
     w = np.array([[1.0 + 0j]])
     for _ in range(num_qubits):
         w = np.kron(w, random_unitary(rng, 2))
-    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T, num_qubits)
+    rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
     assert abs(d.negativity(rotated, cut) - d.negativity(rho, cut)) <= 1e-10

@@ -131,7 +131,7 @@ def test_reconstruction_roundtrip_on_coefficients():
         raw = rng.uniform(-0.2, 0.2, size=8)
         raw[0] = 1.0
         m = d.ghz_reconstruct(raw)
-        state = d.DensityMatrix(m, 3)  # small coefficients keep it PSD
+        state = d.DensityMatrix(m)  # small coefficients keep it PSD
         lams = d.ghz_diagonal_coefficients(state)
         assert np.abs(lams - raw).max() < 1e-12
 
@@ -167,7 +167,7 @@ def test_kay_verdict_for_maximally_mixed():
 def test_kay_inconclusive_when_product_positive():
     eps = 0.05
     lams = np.array([1.0, 0, 0, 0, eps, eps, eps, eps])
-    state = d.DensityMatrix(d.ghz_reconstruct(lams), 3)
+    state = d.DensityMatrix(d.ghz_reconstruct(lams))
     assert all(d.hermitian_eigenvalues(d.partial_transpose(state, cut)).min() >= -1e-10
                for cut in SINGLE_QUBIT_CUTS)
     assert d.kay_criterion(state).status is d.Verdict.INCONCLUSIVE
@@ -205,7 +205,7 @@ def test_eta_is_a_mixture_of_product_vectors():
     one = np.array([0, 1], dtype=complex)
     for vec in (np.kron(np.kron(plus, zero), one),
                 np.kron(np.kron(plus, one), zero)):
-        component = d.DensityMatrix(np.outer(vec, vec.conj()), 3)
+        component = d.DensityMatrix(np.outer(vec, vec.conj()))
         purities = d.separability.product_vector_purities(component)
         assert all(abs(p - 1.0) < 1e-12 for p in purities)
     reconstructed = 0.5 * sum(
@@ -272,7 +272,7 @@ def test_full_separability_certificate_contents():
 def test_each_certificate_gets_its_own_eta_purities():
     first = d.full_separability_verdict(0.3).certificate["eta_component_purities"]
     second = d.full_separability_verdict(0.4).certificate["eta_component_purities"]
-    components = [d.DensityMatrix(np.outer(v, v.conj()), 3)
+    components = [d.DensityMatrix(np.outer(v, v.conj()))
                   for v in d.separability._eta_components()]
     assert first == second == [d.separability.product_vector_purities(c)
                                for c in components]
