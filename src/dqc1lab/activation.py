@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dqc1 import rho3
-from .linalg import (UNITARITY_TOL, DensityMatrix, _as_complex_matrix, _random_unitary,
-                     trace_norm, unitarity_defect)
+from .linalg import DensityMatrix, _random_unitary, _unitary, trace_norm
 
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
 MAX_STRATEGIES = 100_000
@@ -34,11 +33,9 @@ class AdversaryStrategy:
     def __post_init__(self):
         checked = []
         for u in self.unitaries:
-            u = _as_complex_matrix(u)
+            u = _unitary(u, "strategy unitary")
             if u.shape != (2, 2):
                 raise ValueError("strategy unitaries must be 2x2")
-            if not unitarity_defect(u) <= UNITARITY_TOL:
-                raise ValueError("strategy unitary fails unitarity within 1e-12")
             u.setflags(write=False)
             checked.append(u)
         if len(checked) != 3:

@@ -16,8 +16,7 @@ import numpy as np
 from . import _kernels
 from .linalg import (
     DensityMatrix,
-    _check_cut,
-    _qubit_set,
+    _qubit_subset,
     partial_trace,
     partial_transpose,
     trace_norm,
@@ -59,7 +58,7 @@ class DiscordResult:
 
 def negativity(rho: DensityMatrix, cut: Iterable[int]) -> float:
     """Trace norm of the partial transpose minus one; zero iff PPT."""
-    cut = _check_cut(cut, rho.num_qubits)
+    cut = _qubit_subset(cut, rho.num_qubits)
     return max(trace_norm(partial_transpose(rho, cut)) - 1.0, 0.0)
 
 
@@ -69,10 +68,8 @@ def multiplicative_negativity(rho: DensityMatrix, cut: Iterable[int]) -> float:
 
 def mutual_information(rho: DensityMatrix, part_a: Iterable[int]) -> float:
     """S(A) + S(B) - S(AB) across the cut part_a vs complement, in bits."""
-    a = _qubit_set(part_a)
     n = rho.num_qubits
-    if not a or len(a) >= n or any(q < 0 or q >= n for q in a):
-        raise ValueError("part_a must be a strict nonempty subset of the qubits")
+    a = _qubit_subset(part_a, n)
     b = tuple(q for q in range(n) if q not in a)
     return (von_neumann_entropy(partial_trace(rho, a))
             + von_neumann_entropy(partial_trace(rho, b))
@@ -82,12 +79,11 @@ def mutual_information(rho: DensityMatrix, part_a: Iterable[int]) -> float:
 def _measured_qubit_blocks(rho: DensityMatrix, measured_qubit: int) -> np.ndarray:
     """State as (2, 2, d, d) blocks indexed by the measured qubit."""
     n = rho.num_qubits
-    if not 0 <= measured_qubit < n:
-        raise ValueError(f"measured qubit {measured_qubit} out of range")
+    (q,) = _qubit_subset((measured_qubit,), n)
     d = 2 ** (n - 1)
     t = rho.matrix.reshape([2] * (2 * n))
     # bring the measured qubit to the front of both index groups
-    t = np.moveaxis(t, (measured_qubit, n + measured_qubit), (0, n))
+    t = np.moveaxis(t, (q, n + q), (0, n))
     return np.ascontiguousarray(t.reshape(2, d, 2, d).transpose(0, 2, 1, 3))
 
 
@@ -195,11 +191,8 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
         raise ValueError("states must all have the same number of qubits")
     blocks, s_rest, thetas, phis = [], [], [], []
     for rho in rhos:
-        n = rho.num_qubits
-        if n < 2:
-            raise ValueError("state must have at least 2 qubits")
         b = _measured_qubit_blocks(rho, measured_qubit)
-        unmeasured = tuple(q for q in range(n) if q != measured_qubit)
+        unmeasured = tuple(q for q in range(rho.num_qubits) if q != measured_qubit)
         s_rest.append(von_neumann_entropy(partial_trace(rho, unmeasured)))
         t, p = _grid_start_cells(b, DEFAULT_GRID)
         blocks.append(b)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARITY_TOL, DensityMatrix, _as_complex_matrix, kron_all, unitarity_defect
+from .linalg import DensityMatrix, _as_complex_matrix, _unitary, kron_all
 
 MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
@@ -114,14 +114,10 @@ def build_un(spec: UnitaryBlockSpec, n: int) -> np.ndarray:
         raise ValueError(f"register size {n} exceeds maximum {MAX_REGISTER}")
     eye = np.eye(2 ** (n - 2), dtype=np.complex128)
     xs = kron_all(*([PAULI_X] * (n - 2)))
-    u = np.block([
+    return _unitary(np.block([
         [np.kron(eye, spec.a1), np.kron(xs, spec.c1)],
         [np.kron(xs, spec.d1), np.kron(eye, spec.b1)],
-    ])
-    defect = unitarity_defect(u)
-    if not defect <= UNITARITY_TOL:
-        raise ValueError(f"assembled matrix fails unitarity (defect {defect:.2e})")
-    return u
+    ]), "assembled matrix")
 
 
 def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
@@ -129,11 +125,9 @@ def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
 
     A u whose dimension is not 2**n fails the state's dimension rule.
     """
-    u = _as_complex_matrix(u)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not unitarity_defect(u) <= UNITARITY_TOL:
-        raise ValueError("u is not unitary within 1e-12")
+    u = _unitary(u, "register unitary")
     dim = u.shape[0]
     rho = np.eye(2 * dim, dtype=np.complex128)
     rho[:dim, dim:] = alpha * u.conj().T

@@ -50,6 +50,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
+def _unitary(u: np.ndarray, what: str) -> np.ndarray:
+    """u as a finite complex matrix with defect within 1e-12; the one unitarity rule."""
+    u = _as_complex_matrix(u)
+    defect = unitarity_defect(u)
+    if not defect <= UNITARITY_TOL:
+        raise ValueError(f"{what} fails unitarity within 1e-12 (defect {defect:.2e})")
+    return u
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on qubits.
@@ -108,21 +117,20 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def _qubit_set(qubits: Iterable[int]) -> tuple[int, ...]:
-    """Sorted distinct qubit indices; a float index is a TypeError, not a truncation."""
-    return tuple(sorted({operator.index(q) for q in qubits}))
-
-
-def _check_cut(transposed: Iterable[int], num_qubits: int,
-               allow_full: bool = False) -> tuple[int, ...]:
-    cut = _qubit_set(transposed)
-    if not cut:
-        raise ValueError("bipartition must transpose at least one qubit")
-    if any(q < 0 or q >= num_qubits for q in cut):
-        raise ValueError(f"qubit index out of range for {num_qubits} qubits: {cut}")
-    if len(cut) == num_qubits and not allow_full:
-        raise ValueError("bipartition must be a strict subset of the qubits")
-    return cut
+def _qubit_subset(qubits: Iterable[int], num_qubits: int,
+                  allow_full: bool = False) -> tuple[int, ...]:
+    """Sorted distinct indices of a nonempty subset of the qubits; the one rule
+    for a qubit subset.  It must leave a qubit out unless ``allow_full``, and a
+    float index is a TypeError, not a truncation."""
+    subset = tuple(sorted({operator.index(q) for q in qubits}))
+    if not subset:
+        raise ValueError("qubit subset must be nonempty")
+    if subset[0] < 0 or subset[-1] >= num_qubits:
+        raise ValueError(f"qubit index out of range for {num_qubits} qubits: {subset}")
+    if len(subset) == num_qubits and not allow_full:
+        raise ValueError(f"qubit subset {subset} of a {num_qubits}-qubit state "
+                         "must leave a qubit on the other side")
+    return subset
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,7 +189,7 @@ def partial_transpose_matrix(m: np.ndarray, transposed: Iterable[int]) -> np.nda
     """
     m = _as_complex_matrix(m)
     num_qubits = _qubit_count(m)
-    cut = _check_cut(transposed, num_qubits, allow_full=True)
+    cut = _qubit_subset(transposed, num_qubits, allow_full=True)
     t = m.reshape([2] * (2 * num_qubits))
     for q in cut:
         t = np.swapaxes(t, q, q + num_qubits)
@@ -200,12 +208,8 @@ def partial_transpose(rho: DensityMatrix, transposed: Iterable[int]) -> np.ndarr
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept qubits, tracing out the rest."""
-    kept = _qubit_set(keep)
     n = rho.num_qubits
-    if not kept:
-        raise ValueError("must keep at least one qubit")
-    if any(q < 0 or q >= n for q in kept):
-        raise ValueError(f"qubit index out of range for {n} qubits: {kept}")
+    kept = _qubit_subset(keep, n, allow_full=True)
     if len(kept) == n:
         return rho
     t = rho.matrix.reshape([2] * (2 * n))
@@ -224,16 +228,11 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(hermitian_eigenvalues(m)).sum())
 
 
-def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
-    """Shannon entropy in bits of a nonnegative spectrum; 0*log 0 := 0."""
-    w = np.asarray(eigenvalues, dtype=float)
-    w = w[w > ZERO_EIGENVALUE_TOL]
-    return float(-(w * np.log2(w)).sum())
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute zero."""
-    return entropy_of_spectrum(hermitian_eigenvalues(rho.matrix))
+    w = hermitian_eigenvalues(rho.matrix)
+    w = w[w > ZERO_EIGENVALUE_TOL]
+    return float(-(w * np.log2(w)).sum())
 
 
 def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:

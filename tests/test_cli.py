@@ -389,6 +389,29 @@ def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# each alpha admits rho3 (eigvalsh call 1) and then takes the PT spectrum (call 2)
+@pytest.mark.parametrize("failing_call, message", [
+    (1, "error: no convergence\n"),
+    (2, "error: eigensolver failed to converge: no convergence\n"),
+], ids=["admission-raw", "hermitian-eigenvalues-wrapped"])
+def test_eigensolver_failure_exits_2_with_one_error_line(failing_call, message,
+                                                         monkeypatch, capsys):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def failing(m):
+        calls.append(m.shape)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("no convergence")
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert main(["sweep", "--quantity", "pt-spectrum-min", "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert len(calls) == failing_call
+
+
 def test_sweep_evaluates_the_whole_alpha_list_at_once(monkeypatch, capsys):
     from dqc1lab import reproduce
 

@@ -128,14 +128,6 @@ def test_mutual_information_complement_symmetry():
             d.mutual_information(rho, (1, 2)), abs=1e-12)
 
 
-def test_mutual_information_rejects_bad_subsets():
-    rho = d.maximally_mixed(2)
-    with pytest.raises(ValueError):
-        d.mutual_information(rho, ())
-    with pytest.raises(ValueError):
-        d.mutual_information(rho, (0, 1))
-
-
 # --------------------------------------------------------------------------
 # conditional entropy
 # --------------------------------------------------------------------------

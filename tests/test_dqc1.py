@@ -61,13 +61,6 @@ def test_trace_of_u3():
     assert np.trace(build_un_oracle(d.canonical_blocks(), 3)) == pytest.approx(4.0)
 
 
-def test_build_un_rejects_non_unitary_blocks():
-    bad = d.UnitaryBlockSpec(
-        a1=np.eye(2), b1=np.eye(2), c1=np.eye(2), d1=np.eye(2))
-    with pytest.raises(ValueError, match="unitarity"):
-        d.build_un(bad, 2)
-
-
 def test_build_un_register_cap():
     with pytest.raises(ValueError, match="maximum 5"):
         d.build_un(d.canonical_blocks(), 6)
@@ -121,11 +114,6 @@ def test_build_dqc1_state_rejects_bad_alpha():
     for alpha in (-0.1, 1.1):
         with pytest.raises(ValueError, match="alpha"):
             d.build_dqc1_state(u, alpha)
-
-
-def test_build_dqc1_state_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        d.build_dqc1_state(np.ones((4, 4)), 0.5)
 
 
 def test_rho3_entries():
@@ -182,24 +170,36 @@ def scaled_block_spec(eps):
     return dataclasses.replace(spec, a1=(1 + eps) * spec.a1)
 
 
-# each site that admits a unitary, fed one scaled by 1 + eps (defect about 2 eps)
+def build_un_site(n):
+    identity_blocks = d.UnitaryBlockSpec(a1=np.eye(2), b1=np.eye(2), c1=np.eye(2), d1=np.eye(2))
+    return ("assembled matrix", lambda eps: d.build_un(scaled_block_spec(eps), n),
+            lambda: d.build_un(identity_blocks, n))
+
+
+# each site that admits a unitary: the name its message gives, the site fed a
+# unitary scaled by 1 + eps (defect about 2 eps), and the site fed a gross defect
 UNITARITY_SITES = {
-    "build-un": lambda eps: d.build_un(scaled_block_spec(eps), 2),
-    "build-un-n3": lambda eps: d.build_un(scaled_block_spec(eps), 3),
-    "build-un-n4": lambda eps: d.build_un(scaled_block_spec(eps), 4),
-    "build-un-n5": lambda eps: d.build_un(scaled_block_spec(eps), 5),
-    "dqc1-state": lambda eps: d.build_dqc1_state(
+    "build-un": build_un_site(2),
+    "build-un-n3": build_un_site(3),
+    "build-un-n4": build_un_site(4),
+    "build-un-n5": build_un_site(5),
+    "dqc1-state": ("register unitary", lambda eps: d.build_dqc1_state(
         (1 + eps) * d.build_un(d.canonical_blocks(), 2), 0.5),
-    "adversary": lambda eps: d.AdversaryStrategy((
+        lambda: d.build_dqc1_state(np.ones((4, 4)), 0.5)),
+    "adversary": ("strategy unitary", lambda eps: d.AdversaryStrategy((
         (1 + eps) * np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2), np.eye(2))),
+        lambda: d.AdversaryStrategy((np.eye(2), np.ones((2, 2)), np.eye(2)))),
 }
 
 
-@pytest.mark.parametrize("admit", UNITARITY_SITES.values(), ids=UNITARITY_SITES.keys())
-def test_every_unitarity_site_shares_one_tolerance(admit):
+@pytest.mark.parametrize("name, admit, gross", UNITARITY_SITES.values(),
+                         ids=UNITARITY_SITES.keys())
+def test_every_unitarity_site_shares_one_tolerance(name, admit, gross):
     admit(1e-13)
-    with pytest.raises(ValueError, match="unitar"):
-        admit(1e-11)
+    for reject in (lambda: admit(1e-11), gross):
+        with pytest.raises(ValueError, match=rf"^{name} fails unitarity within 1e-12 "
+                                             r"\(defect \d\.\d\de[+-]\d\d\)$"):
+            reject()
 
 
 def test_expectation_xy_zero_polarization():

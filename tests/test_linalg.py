@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -154,17 +155,6 @@ def test_rho3_cut_identification():
     assert d.RHO3_ENTANGLING_CUT in matching
 
 
-def test_partial_transpose_rejects_bad_cut():
-    rho = d.maximally_mixed(2)
-    with pytest.raises(ValueError):
-        d.partial_transpose(rho, (5,))
-    with pytest.raises(ValueError):
-        d.partial_transpose(rho, ())
-    # entanglement cuts must leave something on the other side
-    with pytest.raises(ValueError):
-        d.negativity(rho, (0, 1))
-
-
 # --------------------------------------------------------------------------
 # partial trace
 # --------------------------------------------------------------------------
@@ -213,24 +203,54 @@ def test_partial_trace_commutes_over_complements():
         assert np.abs(stepwise.matrix - direct.matrix).max() < 1e-12
 
 
-def test_partial_trace_requires_kept_qubit():
-    with pytest.raises(ValueError, match="at least one"):
-        d.partial_trace(d.maximally_mixed(2), ())
+# every entry point that takes a qubit subset, as (state, qubits); the last
+# four take one measured qubit, so an empty subset is not a call they can get
+QUBIT_SUBSET_ENTRY_POINTS = {
+    "partial-transpose": d.partial_transpose,
+    "partial-transpose-matrix": lambda rho, qs: d.partial_transpose_matrix(rho.matrix, qs),
+    "partial-trace": d.partial_trace,
+    "negativity": d.negativity,
+    "mutual-information": d.mutual_information,
+    "classical-correlation": lambda rho, qs: d.classical_correlation(rho, *qs),
+    "classical-correlation-many": lambda rho, qs: d.classical_correlation_many([rho], *qs),
+    "discord": lambda rho, qs: d.discord(rho, *qs),
+    "discord-many": lambda rho, qs: d.discord_many([rho], *qs),
+}
+MEASURED_QUBIT = {"classical-correlation", "classical-correlation-many", "discord",
+                  "discord-many"}
+# a cut needs a qubit on each side; a transpose or a kept set may take them all
+STRICT_SUBSET = MEASURED_QUBIT | {"negativity", "mutual-information"}
+
+
+def bad_qubit_subsets():
+    """(entry point, qubit count, bad subset, the rule's message) for every case."""
+    out_of_range = "qubit index out of range for 2 qubits: {}"
+    every_qubit = "qubit subset {} of a {}-qubit state must leave a qubit on the other side"
+    for name, call in QUBIT_SUBSET_ENTRY_POINTS.items():
+        measured = name in MEASURED_QUBIT
+        cases = {"index-n": (2, (2,), out_of_range.format((2,))),
+                 "index-minus-1": (2, (-1,), out_of_range.format((-1,)))}
+        if not measured:
+            cases["empty"] = (2, (), "qubit subset must be nonempty")
+        if name in STRICT_SUBSET:
+            n, qubits = (1, (0,)) if measured else (2, (0, 1))
+            cases["every-qubit"] = (n, qubits, every_qubit.format(qubits, n))
+        for case, args in cases.items():
+            yield pytest.param(call, *args, id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("call, n, qubits, message", bad_qubit_subsets())
+def test_bad_qubit_subset_is_rejected(call, n, qubits, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(d.maximally_mixed(n), qubits)
 
 
 # a qubit index that is not an integer must not be truncated to one
-FLOAT_QUBIT_CALLS = {
-    "mutual-information": lambda rho: d.mutual_information(rho, (0.7,)),
-    "negativity": lambda rho: d.negativity(rho, (1.5,)),
-    "partial-trace": lambda rho: d.partial_trace(rho, (1.9,)),
-    "partial-transpose": lambda rho: d.partial_transpose(rho, (np.float64(1.0),)),
-}
-
-
-@pytest.mark.parametrize("call", FLOAT_QUBIT_CALLS.values(), ids=FLOAT_QUBIT_CALLS.keys())
+@pytest.mark.parametrize("call", QUBIT_SUBSET_ENTRY_POINTS.values(),
+                         ids=QUBIT_SUBSET_ENTRY_POINTS.keys())
 def test_float_qubit_index_is_rejected(call):
     with pytest.raises(TypeError):
-        call(d.maximally_mixed(2))
+        call(d.maximally_mixed(2), (np.float64(1.0),))
 
 
 # a count that is not an integer must not be used as one; numpy integers pass
