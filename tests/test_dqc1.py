@@ -61,6 +61,13 @@ def test_trace_of_u3():
     assert np.trace(build_un_oracle(d.canonical_blocks(), 3)) == pytest.approx(4.0)
 
 
+def test_build_un_rejects_non_unitary_blocks():
+    bad = d.UnitaryBlockSpec(
+        a1=np.eye(2), b1=np.eye(2), c1=np.eye(2), d1=np.eye(2))
+    with pytest.raises(ValueError, match=r"^assembled matrix fails unitarity within 1e-12 "):
+        d.build_un(bad, 2)
+
+
 def test_build_un_register_cap():
     with pytest.raises(ValueError, match="maximum 5"):
         d.build_un(d.canonical_blocks(), 6)
@@ -114,6 +121,11 @@ def test_build_dqc1_state_rejects_bad_alpha():
     for alpha in (-0.1, 1.1):
         with pytest.raises(ValueError, match="alpha"):
             d.build_dqc1_state(u, alpha)
+
+
+def test_build_dqc1_state_rejects_non_unitary():
+    with pytest.raises(ValueError, match=r"^register unitary fails unitarity within 1e-12 "):
+        d.build_dqc1_state(np.ones((4, 4)), 0.5)
 
 
 def test_rho3_entries():
