@@ -94,22 +94,16 @@ def activation_sweep(alphas: Sequence[float], strategies: int,
 
     Strategy index 0 is always the identity; the remaining
     ``strategies - 1`` entries are seeded-random strategies derived from
-    ``seed``, identical across the alpha values.
+    ``seed``, identical across the alpha values.  Every alpha's state is
+    built before any strategy is drawn, so its polarization rule fails first.
     """
-    alphas = list(alphas)
-    if not alphas:
+    states = [rho3(alpha).state for alpha in alphas]
+    if not states:
         raise ValueError("alphas must be nonempty")
-    if bad := [a for a in alphas if not 0.0 <= a <= 1.0]:
-        raise ValueError(f"alpha must lie in [0, 1], got {bad[0]}")
     strategies = operator.index(strategies)
     if not 1 <= strategies <= MAX_STRATEGIES:
         raise ValueError(f"strategy count must lie in [1, {MAX_STRATEGIES}], got {strategies}")
     children = np.random.SeedSequence(seed).spawn(max(strategies - 1, 0))
     pool = [AdversaryStrategy.identity()]
     pool += [AdversaryStrategy.random(int(c.generate_state(1)[0])) for c in children]
-    results = []
-    for alpha in alphas:
-        state = rho3(alpha).state
-        for strat in pool:
-            results.append(activate(state, strat))
-    return results
+    return [activate(state, strat) for state in states for strat in pool]

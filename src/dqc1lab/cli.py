@@ -227,7 +227,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -184,11 +184,13 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
     kernel call per step, each along the same path it would take alone,
     so a state's result does not depend on the others.  Each result is a
     certified lower bound on the supremum; ties in the optimum location
-    break toward the smallest (theta, phi) pair.  The states must all
-    have the same number of qubits.
+    break toward the smallest (theta, phi) pair.  The batch must be
+    nonempty, its states all of one qubit count; ``discord_many`` takes
+    the same batch through this check.
     """
-    if len({rho.num_qubits for rho in rhos}) > 1:
-        raise ValueError("states must all have the same number of qubits")
+    if len({rho.num_qubits for rho in rhos}) != 1:
+        raise ValueError("a batch takes one or more states, all with the same "
+                         "number of qubits")
     blocks, s_rest, thetas, phis = [], [], [], []
     for rho in rhos:
         b = _measured_qubit_blocks(rho, measured_qubit)
@@ -198,8 +200,6 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
         blocks.append(b)
         thetas.append(t)
         phis.append(p)
-    if not blocks:
-        return []
 
     n_theta, n_phi = DEFAULT_GRID
     per_state = thetas[0].size  # every state has the same grid

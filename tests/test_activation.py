@@ -221,10 +221,17 @@ def test_sweep_reports_positive_margin_at_half():
     assert margin > 1e-6
 
 
-def test_sweep_rejects_bad_input():
-    with pytest.raises(ValueError):
+def test_sweep_rejects_bad_input(monkeypatch):
+    # a bad alpha anywhere in the list, or a bad count, fails before any
+    # strategy is drawn
+    drawn = []
+    monkeypatch.setattr(d.AdversaryStrategy, "random",
+                        classmethod(lambda cls, seed: drawn.append(seed)))
+    with pytest.raises(ValueError, match="alphas must be nonempty"):
         d.activation_sweep([], strategies=2, seed=1)
-    with pytest.raises(ValueError):
-        d.activation_sweep([1.2], strategies=2, seed=1)
-    with pytest.raises(ValueError):
+    for alphas in ([1.2, 0.5], [0.5, 0.25, -0.1], [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got"):
+            d.activation_sweep(alphas, strategies=3, seed=1)
+    with pytest.raises(ValueError, match="strategy count must lie in"):
         d.activation_sweep([0.5], strategies=0, seed=1)
+    assert drawn == []

@@ -389,27 +389,33 @@ def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# each alpha admits rho3 (eigvalsh call 1) and then takes the PT spectrum (call 2)
-@pytest.mark.parametrize("failing_call, message", [
-    (1, "error: no convergence\n"),
-    (2, "error: eigensolver failed to converge: no convergence\n"),
-], ids=["admission-raw", "hermitian-eigenvalues-wrapped"])
-def test_eigensolver_failure_exits_2_with_one_error_line(failing_call, message,
-                                                         monkeypatch, capsys):
+# every eigensolver failure is numpy's own LinAlgError, relayed as one line:
+# each alpha admits rho3 (2-D eigvalsh call 1) and then takes the PT spectrum
+# (call 2); a discord sweep's first 3-D call is the grid kernel's batch
+@pytest.mark.parametrize("quantity, ndim, failing_call, out", [
+    ("pt-spectrum-min", 2, 1, None),
+    ("pt-spectrum-min", 2, 2, None),
+    ("discord", 3, 1, "d.csv"),
+], ids=["admission", "hermitian-eigenvalues", "grid-kernel"])
+def test_eigensolver_failure_exits_2_with_one_error_line(quantity, ndim, failing_call, out,
+                                                         tmp_path, monkeypatch, capsys):
     eigvalsh, calls = np.linalg.eigvalsh, []
 
     def failing(m):
-        calls.append(m.shape)
-        if len(calls) == failing_call:
-            raise np.linalg.LinAlgError("no convergence")
+        if m.ndim == ndim:
+            calls.append(m.shape)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("no convergence")
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    assert main(["sweep", "--quantity", "pt-spectrum-min", "--steps", "2"]) == 2
+    argv = ["sweep", "--quantity", quantity, "--steps", "2"]
+    assert main(argv + (["--out", str(tmp_path / out)] if out else [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message
+    assert captured.err == "error: no convergence\n"
     assert len(calls) == failing_call
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_evaluates_the_whole_alpha_list_at_once(monkeypatch, capsys):
@@ -682,6 +688,22 @@ def test_benchmark_traced_names_exist_and_are_called():
                  "dqc1.rho3"):
         assert name in names
     assert spans.layer_metrics(tracer.spans)["correlations.refine_calls"] == 1
+
+
+def test_traced_trace_estimate_reads_its_shots():
+    # the tracer reads shots as sample_trace_estimate's second positional
+    # argument; a signature change would read 0 shots instead
+    spans = benchmark_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["trace-estimate", "--n", "2", "--alpha", "1",
+                             "--shots", "1000", "--seed", "3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert spans.layer_metrics(tracer.spans)["dqc1.sample_shots"] == 1000
 
 
 def test_traced_reproduce_builds_one_state_per_alpha():

@@ -454,7 +454,18 @@ def test_grid_kernel_peak_memory_does_not_grow_past_one_slice():
 def test_classical_correlation_many_rejects_mixed_sizes():
     with pytest.raises(ValueError, match="same number of qubits"):
         d.classical_correlation_many([d.maximally_mixed(2), d.maximally_mixed(3)], 0)
-    assert d.classical_correlation_many([], 0) == []
+
+
+# an empty batch fails the batch check before its measured qubit is read
+@pytest.mark.parametrize("call", [
+    lambda: d.classical_correlation_many([], 0),
+    lambda: d.discord_many([], 7),
+    lambda: d.discord_many([], 0.5),
+], ids=["classical-correlation-many", "discord-many-index-7", "discord-many-index-0.5"])
+def test_batch_functions_reject_an_empty_batch(call):
+    with pytest.raises(ValueError, match="^a batch takes one or more states, all with "
+                                         "the same number of qubits$"):
+        call()
 
 
 def screen_cases():

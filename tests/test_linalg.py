@@ -457,3 +457,16 @@ def test_density_matrix_accepts_product_states():
     rng = np.random.default_rng(17)
     state = random_product_state(rng, 3)
     assert state.num_qubits == 3
+
+
+@pytest.mark.parametrize("solver, call", [
+    ("eigh", d.hermitian_eigensystem),
+    ("eigvalsh", d.hermitian_eigenvalues),
+], ids=["eigensystem", "eigenvalues"])
+def test_eigensolver_failure_raises_numpys_own_error(solver, call, monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, solver, failing)
+    with pytest.raises(np.linalg.LinAlgError, match="^no convergence$"):
+        call(np.eye(2))
