@@ -65,8 +65,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     value_fn, closed_fn = QUANTITIES[args.quantity]
     alphas = [float(a) for a in np.linspace(args.start, args.end, args.steps)]
     # open --out first: an unwritable path fails before any work, and a
-    # failed sweep leaves no partial file behind
-    fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    # failed sweep removes the file only if this run created it
+    fh, created = None, False
+    if args.out:
+        try:
+            fh, created = open(args.out, "x", encoding="utf-8", newline=""), True
+        except FileExistsError:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
     try:
         lines = ["alpha,quantity,value" if closed_fn is None
                  else "alpha,quantity,value,closed_form,abs_error"]
@@ -79,7 +84,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except BaseException:
         if fh is not None:
             fh.close()
-            os.remove(args.out)
+            if created:
+                os.remove(args.out)
         raise
     text = "\n".join(lines) + "\n"
     if fh is None:
@@ -91,6 +97,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_estimate(args: argparse.Namespace) -> int:
+    # the implied trace divides by alpha; from the smallest normal double up
+    # the quotient stays finite, below it it can overflow to inf
+    if 0 < args.alpha < sys.float_info.min:
+        raise ValueError(f"alpha must be 0 or at least {sys.float_info.min!r} to "
+                         f"estimate the trace, got {args.alpha!r}")
     state = build_dqc1_state(build_un(canonical_blocks(), args.n), args.alpha)
     est = sample_trace_estimate(state, args.shots, args.seed)
     exact_x, exact_y = est.exact_re, est.exact_im

@@ -88,16 +88,15 @@ def _measured_qubit_blocks(rho: DensityMatrix, measured_qubit: int) -> np.ndarra
 
 
 def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
-            step_theta: float, step_phi: float,
-            tol: float) -> list[tuple[float, float, float]]:
+            step_theta: float, step_phi: float) -> list[tuple[float, float, float]]:
     """Refine every start point by coordinate-shrinking descent, in lock-step.
 
     ``blocks`` holds one (2, 2, d, d) state per start point, so the start
     points of many states descend together.  Each round probes +theta,
     -theta, +phi, -phi in turn, with theta clipped to [0, pi] and phi
     taken mod 2*pi; a probe is accepted when it improves on the best by
-    more than ``tol * 1e-3``.  A row's steps halve after a round in which
-    it accepted nothing, and the row stops once both fall to 1e-10.
+    more than ``REFINE_TOL * 1e-3``.  A row's steps halve after a round in
+    which it accepted nothing, and the row stops once both fall to 1e-10.
     Every live row is at the same probe, so one kernel call per probe
     evaluates them all, and each row follows exactly the path it would
     follow alone.  Returns (value, theta, phi) per start point.
@@ -120,7 +119,7 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
             probe[:, col] += sign * steps[live, col]
             clamp(probe)
             val = _kernels.conditional_entropy_grid(own, probe[:, 0], probe[:, 1])
-            better = val < best[live] - tol * 1e-3
+            better = val < best[live] - REFINE_TOL * 1e-3
             best[live[better]], x[live[better]] = val[better], probe[better]
             improved |= better
         steps[live[~improved]] /= 2
@@ -128,25 +127,23 @@ def _refine(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     return list(zip(best, x[:, 0], x[:, 1]))
 
 
-def _class_representatives(n_theta: int, n_phi: int, real: bool) -> np.ndarray:
-    """Smallest flat index among each grid cell's equivalent cells.
+def _class_representatives(real: bool) -> np.ndarray:
+    """Smallest flat index among each ``DEFAULT_GRID`` cell's equivalent cells.
 
-    n and -n are one measurement: the antipode (n_theta-1-i, j + n_phi/2)
-    when n_phi is even.  Real blocks add the phi-mirror j -> -j.
+    n and -n are one measurement: the antipode (n_theta-1-i, j + n_phi/2).
+    Real blocks add the phi-mirror j -> -j.
     """
+    n_theta, n_phi = DEFAULT_GRID
     i = np.arange(n_theta)[:, None]
     j = np.arange(n_phi)[None, :]
-    images = [i * n_phi + j]
-    if n_phi % 2 == 0:
-        images.append((n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi)
+    images = [i * n_phi + j, (n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi]
     if real:
         images += [img - img % n_phi + (-img % n_phi) for img in images]
     return np.minimum.reduce(images).ravel()
 
 
-def _grid_start_cells(blocks: np.ndarray,
-                      grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(thetas, phis) of the 5 best cells of the theta x phi grid, best first.
+def _grid_start_cells(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, phis) of the 5 best cells of the ``DEFAULT_GRID``, best first.
 
     Exactly the stable argsort of the whole grid: a cell has the same bits
     in any subset of the grid, and equivalent cells differ by rounding, so
@@ -154,18 +151,17 @@ def _grid_start_cells(blocks: np.ndarray,
     within ``_MIRROR_SLACK`` of the 5th-best value can be in the top 5.
     The cells are returned as copies, so no grid array outlives the call.
     """
-    n_theta, n_phi = grid
+    n_theta, n_phi = DEFAULT_GRID
     tg, pg = (a.ravel() for a in np.meshgrid(
         np.linspace(0.0, np.pi, n_theta),
         np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False), indexing="ij"))
-    rep = _class_representatives(n_theta, n_phi, not blocks.imag.any())
+    rep = _class_representatives(not blocks.imag.any())
     cells = np.arange(rep.size)
     values = np.full(rep.size, np.inf)
     own = cells[rep == cells]
     values[own] = _kernels.conditional_entropy_grid(blocks, tg[own], pg[own])
     screen = values[rep]
-    kth = min(5, rep.size) - 1
-    near = (screen <= np.partition(screen, kth)[kth] + _MIRROR_SLACK) & (rep != cells)
+    near = (screen <= np.partition(screen, 4)[4] + _MIRROR_SLACK) & (rep != cells)
     if near.any():
         values[near] = _kernels.conditional_entropy_grid(blocks, tg[near], pg[near])
     order = np.argsort(values, kind="stable")[:5]
@@ -196,7 +192,7 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
         b = _measured_qubit_blocks(rho, measured_qubit)
         unmeasured = tuple(q for q in range(rho.num_qubits) if q != measured_qubit)
         s_rest.append(von_neumann_entropy(partial_trace(rho, unmeasured)))
-        t, p = _grid_start_cells(b, DEFAULT_GRID)
+        t, p = _grid_start_cells(b)
         blocks.append(b)
         thetas.append(t)
         phis.append(p)
@@ -205,7 +201,7 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
     per_state = thetas[0].size  # every state has the same grid
     candidates = _refine(np.repeat(np.stack(blocks), per_state, axis=0),
                          np.concatenate(thetas), np.concatenate(phis),
-                         np.pi / (n_theta - 1), 2 * np.pi / n_phi, REFINE_TOL)
+                         np.pi / (n_theta - 1), 2 * np.pi / n_phi)
     results = []
     for i, s in enumerate(s_rest):
         own = candidates[i * per_state:(i + 1) * per_state]

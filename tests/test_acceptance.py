@@ -194,6 +194,35 @@ def test_criterion_7_discord_positivity():
                 f"[(1+a)log2(1+a) + (1-a)log2(1-a)]/4 = {closed:.12f}")
 
 
+def test_discrepancy_3_correlation_gram_rank():
+    # rho = 1/2 sum_mu sigma_mu (x) R_mu on the measured qubit q, with
+    # R_mu = tr_q[(sigma_mu (x) I) rho]; the state is classical on q, so
+    # its discord is zero, iff R_x, R_y, R_z span at most one dimension,
+    # that is iff the Gram matrix G_ij = Re tr(R_i R_j) has rank <= 1
+    paulis = [np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]], dtype=complex)]
+    eye = np.eye(2)
+    for a in (0.1, 0.25, 0.5, 1.0):
+        m = d.rho3(a).state.matrix
+        grams = []
+        for q in range(3):
+            rest = [k for k in range(3) if k != q]
+            rs = []
+            for sigma in paulis:
+                factors = [sigma if k == q else eye for k in range(3)]
+                op = np.kron(np.kron(factors[0], factors[1]), factors[2])
+                rs.append(oracle_partial_trace(op @ m, 3, rest))
+            grams.append(np.array([[np.trace(ri @ rj).real for rj in rs] for ri in rs]))
+        clean = np.linalg.eigvalsh(grams[0])
+        assert np.abs(clean - [0, 0, a**2 / 4]).max() <= 1e-15, (
+            f"clean-qubit Gram spectrum at alpha={a}: {clean}; rank 1 is why "
+            f"its discord is 0, discrepancy 3 in the {DISCREPANCIES}")
+        for q in (1, 2):
+            assert np.abs(grams[q] - a**2 / 16 * np.eye(3)).max() <= 1e-15, (
+                f"register-qubit {q} Gram matrix at alpha={a}: {grams[q]}")
+
+
 def test_criterion_8_trace_estimation():
     with check("8 trace-estimation"):
         for n in (2, 3, 4):

@@ -389,6 +389,24 @@ def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_sweep_keeps_paths_it_did_not_create(tmp_path, monkeypatch, capsys):
+    counted_kernel(monkeypatch, fail=True)
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    (tmp_path / "target.csv").write_text("kept\n")
+    for out_file in (existing, link):
+        code = main(["sweep", "--quantity", "discord-register", "--steps", "3",
+                     "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: kernel failed\n"
+        assert out_file.exists()
+    assert link.is_symlink()
+
+
 # every eigensolver failure is numpy's own LinAlgError, relayed as one line:
 # each alpha admits rho3 (2-D eigvalsh call 1) and then takes the PT spectrum
 # (call 2); a discord sweep's first 3-D call is the grid kernel's batch
@@ -556,6 +574,30 @@ def test_trace_estimate_refuses_implied_value_at_zero(capsys):
     assert payload["exact_x"] == 0.0
     assert payload["implied_trace_re"] is None
     assert payload["implied_trace_note"] == "unestimable at alpha=0"
+
+
+@pytest.mark.parametrize("alpha", ["1e-320", "5e-324", "2.225073858507201e-308"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_trace_estimate_rejects_subnormal_alpha(alpha, json_flag, capsys):
+    # 1/alpha overflows below the smallest normal double, so the implied
+    # trace would print as -inf, which is not JSON
+    code = main(["trace-estimate", "--n", "2", "--alpha", alpha, "--shots", "1000",
+                 "--seed", "1", *json_flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha must be 0 or at least ")
+    assert captured.err.count("\n") == 1
+
+
+def test_trace_estimate_keeps_the_smallest_normal_alpha(capsys):
+    code = main(["trace-estimate", "--n", "2", "--alpha", repr(sys.float_info.min),
+                 "--shots", "1000", "--seed", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert code == 0
+    assert payload["implied_trace_re"] == 0.5
+    assert all(np.isfinite(payload[key]) for key in (
+        "implied_trace_re_sampled", "implied_trace_im_sampled"))
 
 
 def test_trace_estimate_text_mode(capsys):
