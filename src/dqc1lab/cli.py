@@ -64,14 +64,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"steps must lie in [2, 2**60 - 1], got {args.steps}")
     value_fn, closed_fn = QUANTITIES[args.quantity]
     alphas = [float(a) for a in np.linspace(args.start, args.end, args.steps)]
-    # open --out first: an unwritable path fails before any work, and a
-    # failed sweep removes the file only if this run created it
-    fh, created = None, False
+    # check --out first: an unwritable path fails before any work, an
+    # existing file is not truncated before the CSV text is complete, and
+    # a failed sweep removes the file only if this run created it
+    created = False
     if args.out:
         try:
-            fh, created = open(args.out, "x", encoding="utf-8", newline=""), True
+            open(args.out, "x").close()
+            created = True
         except FileExistsError:
-            fh = open(args.out, "w", encoding="utf-8", newline="")
+            open(args.out, "a").close()
     try:
         lines = ["alpha,quantity,value" if closed_fn is None
                  else "alpha,quantity,value,closed_form,abs_error"]
@@ -82,17 +84,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row += f",{_fmt(closed)},{_fmt(abs(value - closed))}"
             lines.append(row)
     except BaseException:
-        if fh is not None:
-            fh.close()
-            if created:
-                os.remove(args.out)
+        if created:
+            os.remove(args.out)
         raise
     text = "\n".join(lines) + "\n"
-    if fh is None:
-        sys.stdout.write(text)
-    else:
-        with fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

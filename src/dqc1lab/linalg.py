@@ -162,8 +162,7 @@ def _hermitian_input(m: np.ndarray) -> np.ndarray:
 def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
     w, v = np.linalg.eigh(_hermitian_input(m))
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    return w[::-1], v[:, ::-1]
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -201,8 +200,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept qubits, tracing out the rest."""
     n = rho.num_qubits
     kept = _qubit_subset(keep, n, allow_full=True)
-    if len(kept) == n:
-        return rho
     t = rho.matrix.reshape([2] * (2 * n))
     traced = [q for q in range(n) if q not in kept]
     for offset, q in enumerate(sorted(traced)):

@@ -184,6 +184,13 @@ def test_activate_requires_three_qubits():
         d.activate(d.maximally_mixed(2), d.AdversaryStrategy.identity())
 
 
+def test_activate_rejects_a_trace_norm_below_one(monkeypatch):
+    # a partial transpose has trace 1, so its trace norm can never be below 1
+    monkeypatch.setattr(d.activation, "trace_norm", lambda m: 0.5)
+    with pytest.raises(RuntimeError, match=r"^activated trace norm 0\.5 fell below 1$"):
+        d.activate(d.rho3(0.5).state, d.AdversaryStrategy.identity())
+
+
 def test_strategy_validation():
     with pytest.raises(ValueError, match="unitarity"):
         d.AdversaryStrategy((np.ones((2, 2)), np.eye(2), np.eye(2)))

@@ -93,23 +93,29 @@ def test_reproduce_fails_more_checks_on_a_defective_state(monkeypatch, capsys):
     assert len(failed) > len(KNOWN_DISCREPANT_CHECKS)
 
 
-@pytest.mark.parametrize("status,broken", [
-    (Verdict.INCONCLUSIVE, {"ghz-part-verdict"}),
-    (Verdict.NPT_ENTANGLED, {"ppt-region", "ghz-part-verdict"}),
+# the grid index of the alpha whose verdict is altered: 25 (alpha = 0.25) lies
+# inside the separable range, 75 (alpha = 0.75) outside it
+@pytest.mark.parametrize("index,status,broken", [
+    pytest.param(25, Verdict.INCONCLUSIVE, {"ghz-part-verdict"},
+                 id="Verdict.INCONCLUSIVE-broken0"),
+    pytest.param(25, Verdict.NPT_ENTANGLED, {"ppt-region", "ghz-part-verdict"},
+                 id="Verdict.NPT_ENTANGLED-broken1"),
     # the status stands but Kay's lambdas behind it carry lambda6 = 1e-6
-    pytest.param(Verdict.FULLY_SEPARABLE, {"ghz-coefficient-pattern"}, id="shifted-lambda6"),
+    pytest.param(25, Verdict.FULLY_SEPARABLE, {"ghz-coefficient-pattern"},
+                 id="shifted-lambda6"),
+    pytest.param(75, Verdict.FULLY_SEPARABLE, {"ppt-region"}, id="separable-at-0.75"),
 ])
-def test_reproduce_checks_the_separability_verdict(monkeypatch, status, broken):
+def test_reproduce_checks_the_separability_verdict(monkeypatch, index, status, broken):
     from dqc1lab import reproduce
 
     real = reproduce._verdict
-    flipped = reproduce.ALPHA_GRID[25]  # alpha = 0.25, inside the separable range
+    flipped = reproduce.ALPHA_GRID[index]
 
     def altered(state, alpha):
         verdict = real(state, alpha)
         if alpha != flipped:
             return verdict
-        if status is Verdict.FULLY_SEPARABLE:
+        if status is verdict.status:
             kay = verdict.certificate["ghz_part_verdict"]
             lambdas = kay.certificate["lambdas"].copy()
             lambdas[5] += 1e-6
@@ -403,7 +409,7 @@ def test_failed_sweep_keeps_paths_it_did_not_create(tmp_path, monkeypatch, capsy
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: kernel failed\n"
-        assert out_file.exists()
+        assert out_file.read_text() == "kept\n"
     assert link.is_symlink()
 
 
@@ -670,6 +676,19 @@ def test_activate_command(capsys):
     assert payload["results"][0]["label"] == "identity"
     assert payload["results"][0]["multiplicative_negativity"] == pytest.approx(1.5)
     assert payload["min"] > 1.0
+    # the text form prints the same values, one strategy a line
+    assert main(["activate", "--alpha", "0.5", "--strategies", "3", "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        *(f"strategy {r['index']:2d} [{r['label']}]: "
+          f"M = {cli._fmt(r['multiplicative_negativity'])}" for r in payload["results"]),
+        f"min={cli._fmt(payload['min'])}  max={cli._fmt(payload['max'])}",
+    ]
+
+
+def test_json_default_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        json.dumps(object(), default=cli._json_default)
 
 
 def _child_env() -> dict:

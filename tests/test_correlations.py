@@ -574,6 +574,15 @@ def test_discord_result_invariant():
     assert result.discord >= 0
 
 
+def test_discord_below_the_clamp_window_raises(monkeypatch):
+    # an optimizer that overshoots by 1e-6 on a state of zero discord
+    kernel = _kernels.conditional_entropy_grid
+    monkeypatch.setattr(_kernels, "conditional_entropy_grid",
+                        lambda *args: kernel(*args) - 1e-6)
+    with pytest.raises(RuntimeError, match="below the -1e-9 clamp window"):
+        d.discord(d.rho3(0.5).state, 0)
+
+
 def test_rho3_is_classical_on_the_clean_qubit():
     # explicit flag decomposition: the clean-qubit X basis labels an
     # orthogonal pair of register states, so clean-qubit discord is 0

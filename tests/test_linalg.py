@@ -453,6 +453,27 @@ def test_non_finite_input_is_rejected(build, message):
         build()
 
 
+# (constructor, message) for each input whose shape does not fit its boundary
+WRONG_SHAPES = {
+    "density-matrix-2x4": (lambda: d.DensityMatrix(np.ones((2, 4))),
+                           r"^expected a square matrix, got shape \(2, 4\)$"),
+    "relative-entropy-1-vs-2-qubits": (
+        lambda: d.relative_entropy(d.maximally_mixed(1), d.maximally_mixed(2)),
+        r"^states must share one Hilbert space$"),
+    "block-spec-3x3": (lambda: d.UnitaryBlockSpec(np.eye(3), np.eye(2), np.eye(2), np.eye(2)),
+                       r"^block a1 must be 2x2$"),
+    "adversary-4x4": (lambda: d.AdversaryStrategy((np.eye(4), np.eye(2), np.eye(2))),
+                      r"^strategy unitaries must be 2x2$"),
+    "ghz-reconstruct-7": (lambda: d.ghz_reconstruct(np.ones(7)), r"^expected 8 coefficients$"),
+}
+
+
+@pytest.mark.parametrize("build,message", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
+def test_wrong_shape_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_density_matrix_accepts_product_states():
     rng = np.random.default_rng(17)
     state = random_product_state(rng, 3)

@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from conftest import random_density_matrix
 
 import dqc1lab as d
+from dqc1lab import cli
 from dqc1lab.separability import SINGLE_QUBIT_CUTS
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
@@ -86,6 +88,16 @@ def test_omega_yyx_expectation_is_zero():
 def test_pauli_expectation_requires_three_qubits():
     with pytest.raises(ValueError):
         d.pauli_expectation(d.maximally_mixed(2), "XXX")
+
+
+def test_pauli_expectation_rejects_an_imaginary_residue():
+    # i * 4.9e-13 on each anti-diagonal entry leaves a hermiticity defect of
+    # 9.8e-13, which admission allows, and sums to 8 * 4.9e-13 in tr(rho XXX)
+    m = d.rho3(0.5).state.matrix.copy()
+    m[np.fliplr(np.eye(8, dtype=bool))] += 4.9e-13j
+    rho = d.DensityMatrix(m)
+    with pytest.raises(ValueError, match=r"^expectation of XXX has imaginary residue 3\.920e-12$"):
+        d.pauli_expectation(rho, "XXX")
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +257,18 @@ def test_full_separability_verdict_examples():
     verdict = d.full_separability_verdict(0.9)
     assert verdict.status is d.Verdict.NPT_ENTANGLED
     assert verdict.certificate["witness_eigenvalue"] == pytest.approx(-0.1, abs=1e-12)
+
+
+def test_verdict_reads_inconclusive_in_a_band_just_above_half(capsys):
+    # omega's smallest PT eigenvalue (1 - 2a)/(8 - 4a) is 4/3 of the state's,
+    # so Kay's check on omega crosses the -1e-10 tolerance before the state does
+    bands = {0.5 + 2.5e-10: d.Verdict.FULLY_SEPARABLE,
+             0.5 + 3.5e-10: d.Verdict.INCONCLUSIVE,
+             0.5 + 4.5e-10: d.Verdict.NPT_ENTANGLED}
+    for alpha, status in bands.items():
+        assert d.full_separability_verdict(alpha).status is status
+    assert cli.main(["separability", "--alpha", repr(0.5 + 3.5e-10), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Inconclusive"
 
 
 @pytest.mark.parametrize("alpha", [0.500001, 0.6, 0.75, 0.9, 1.0])
