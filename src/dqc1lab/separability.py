@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, rho3
-from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_trace, partial_transpose
+from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_transpose
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
 PPT_TOL = -1e-10
@@ -153,35 +153,15 @@ def omega_state(alpha: float) -> DensityMatrix:
     return DensityMatrix(m / (8 - 4 * alpha))
 
 
-def _eta_components() -> tuple[np.ndarray, np.ndarray]:
-    """The product vectors |+>|0>|1> and |+>|1>|0> that eta mixes."""
-    plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
-    zero = np.array([1, 0], dtype=np.complex128)
-    one = np.array([0, 1], dtype=np.complex128)
-    return np.kron(np.kron(plus, zero), one), np.kron(np.kron(plus, one), zero)
-
-
 @functools.cache
 def eta_state() -> DensityMatrix:
     """Even mixture of the product vectors |+>|0>|1> and |+>|1>|0>; built once."""
-    phi, psi = _eta_components()
+    plus = np.array([1, 1], dtype=np.complex128) / np.sqrt(2)
+    zero = np.array([1, 0], dtype=np.complex128)
+    one = np.array([0, 1], dtype=np.complex128)
+    phi, psi = np.kron(np.kron(plus, zero), one), np.kron(np.kron(plus, one), zero)
     m = (np.outer(phi, phi.conj()) + np.outer(psi, psi.conj())) / 2
     return DensityMatrix(m)
-
-
-def product_vector_purities(state: DensityMatrix) -> list[float]:
-    """Purity of each single-qubit reduced state; all 1 for a product vector."""
-    return [
-        float(np.trace(np.linalg.matrix_power(partial_trace(state, (q,)).matrix, 2)).real)
-        for q in range(state.num_qubits)
-    ]
-
-
-@functools.cache
-def _eta_component_purities() -> tuple[tuple[float, ...], ...]:
-    """Single-qubit purities of each pure component of eta, all 1."""
-    return tuple(tuple(product_vector_purities(DensityMatrix(np.outer(v, v.conj()))))
-                 for v in _eta_components())
 
 
 def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
@@ -212,7 +192,6 @@ def _verdict(state: DensityMatrix, alpha: float) -> SeparabilityVerdict:
         "weights": (w1, w2),
         "reconstruction_residual": residual,
         "ghz_part_verdict": kay,
-        "eta_component_purities": [list(p) for p in _eta_component_purities()],
     }
     if kay.status is not Verdict.FULLY_SEPARABLE:
         return SeparabilityVerdict(Verdict.INCONCLUSIVE, certificate)

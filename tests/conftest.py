@@ -2,12 +2,68 @@
 under short names, and independent brute-force oracles kept deliberately
 separate from the library implementations they check."""
 
+import functools
+import itertools
+
 import numpy as np
 
 from dqc1lab import DensityMatrix
 from dqc1lab.linalg import _random_density_matrix as random_density_matrix
 from dqc1lab.linalg import _random_hermitian as random_hermitian
 from dqc1lab.linalg import _random_unitary as random_unitary
+
+
+PAULI = {"I": np.eye(2, dtype=complex),
+         "X": np.array([[0, 1], [1, 0]], dtype=complex),
+         "Y": np.array([[0, -1j], [1j, 0]]),
+         "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+# eigenvalues and eigenvectors (rows) of each single-qubit Pauli; the
+# identity takes the computational basis
+PAULI_EIGENVECTORS = {
+    "I": (np.array([1, 1]), np.eye(2, dtype=complex)),
+    "X": (np.array([1, -1]), np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)),
+    "Y": (np.array([1, -1]), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)),
+    "Z": (np.array([1, -1]), np.eye(2, dtype=complex)),
+}
+
+
+def pauli_coefficients(m: np.ndarray) -> dict[str, complex]:
+    """c_P = tr(P m) / dim over all 4**n Pauli strings P, so m = sum_P c_P P."""
+    strings = {"": np.ones((1, 1), dtype=complex)}
+    while len(next(iter(strings.values()))) < len(m):
+        strings = {s + c: np.kron(p, PAULI[c]) for s, p in strings.items() for c in PAULI}
+    return {s: np.trace(p @ m) / len(m) for s, p in strings.items()}
+
+
+def pauli_product_ensemble(terms: dict[str, float]) -> list[tuple[float, np.ndarray]]:
+    """Product-vector ensemble of (I + sum_P r_P P) / D over Pauli strings P != I.
+
+    (I + s P) / D with s = +-1 is the even mixture of the D/2 Kronecker
+    products of eigenvectors of P's factors whose eigenvalues multiply to
+    s, and I / D that of the computational basis, so the state is these
+    mixtures weighted |r_P| and 1 - sum_P |r_P| (Braunstein et al., PRL
+    83, 1054, 1999).  Returns (weight, vectors) per mixture, the vectors
+    as the rows of one array.
+    """
+    num_qubits = len(next(iter(terms)))
+    mixtures = [(1 - sum(abs(r) for r in terms.values()), "I" * num_qubits, 1)]
+    mixtures += [(abs(r), p, np.sign(r)) for p, r in terms.items() if r]
+    ensemble = []
+    for weight, p, sign in mixtures:
+        eigenvalues, vectors = np.ones(1), np.ones((1, 1), dtype=complex)
+        for c in p:
+            lams, vs = PAULI_EIGENVECTORS[c]
+            eigenvalues = np.outer(eigenvalues, lams).ravel()
+            vectors = np.einsum("ai,bj->abij", vectors, vs).reshape(len(eigenvalues), -1)
+        ensemble.append((weight, vectors[eigenvalues == sign]))
+    return ensemble
+
+
+def ensemble_state(ensemble: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """The sum over mixtures of each weight times the even mixture of its vectors."""
+    return sum(weight * vectors.T @ vectors.conj() / len(vectors)
+               for weight, vectors in ensemble)
 
 
 def random_product_state(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:

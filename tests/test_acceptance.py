@@ -23,7 +23,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import oracle_partial_trace, random_density_matrix, random_hermitian
+from conftest import (
+    ensemble_state,
+    oracle_partial_trace,
+    pauli_coefficients,
+    pauli_product_ensemble,
+    random_density_matrix,
+    random_hermitian,
+)
 
 import dqc1lab as d
 from dqc1lab.separability import SINGLE_QUBIT_CUTS
@@ -192,6 +199,36 @@ def test_criterion_7_discord_positivity():
                 f"register-qubit discord at alpha={a}: computed "
                 f"{register_value:.12f} vs derived "
                 f"[(1+a)log2(1+a) + (1-a)log2(1-a)]/4 = {closed:.12f}")
+
+
+def test_separable_iff_alpha_at_most_half_at_every_register_size():
+    # U_n = (I..I + X..X - Y X..X Y - Z I..I Z)/2 exactly, so the output
+    # (I + a X(x)U_n)/D has four Pauli terms of weight a/2, Pauli l1 norm
+    # 2a: for a <= 1/2 it is a mixture of product vectors with weights
+    # >= 0, so fully separable, and for a > 1/2 its partial transpose on
+    # the clean and the first register qubit has a negative eigenvalue
+    with check("separable-iff-half"):
+        for n in range(2, 6):
+            u = d.build_un(d.canonical_blocks(), n)
+            expansion = {q: c for q, c in pauli_coefficients(u).items() if c != 0}
+            assert expansion == {"I" * n: 0.5, "X" * n: 0.5,
+                                 "Y" + "X" * (n - 2) + "Y": -0.5,
+                                 "Z" + "I" * (n - 2) + "Z": -0.5}
+            for a in ALPHA_GRID:
+                rho = d.build_dqc1_state(u, a).state.matrix
+                if a <= 0.5:
+                    ensemble = pauli_product_ensemble(
+                        {"X" + q: a * c.real for q, c in expansion.items()})
+                    assert all(weight >= 0 for weight, _ in ensemble), (n, a)
+                    residual = np.abs(ensemble_state(ensemble) - rho).max()
+                    assert residual <= 1e-12, (
+                        f"product ensemble at n={n}, alpha={a} misses the "
+                        f"state by {residual:.3e}")
+                else:
+                    pt_min = np.linalg.eigvalsh(d.partial_transpose_matrix(rho, (0, 1))).min()
+                    assert abs(pt_min - (1 - 2 * a) / 2 ** (n + 1)) <= 1e-12, (
+                        f"smallest partial-transpose eigenvalue at n={n}, "
+                        f"alpha={a}: {pt_min:.15f}")
 
 
 def test_discrepancy_3_correlation_gram_rank():

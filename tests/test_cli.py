@@ -236,15 +236,17 @@ def test_activate_json_bytes_match_recorded_digest(alpha, seed, capsys):
 # was still built entrywise and the front end repeated the range checks.
 # The four digests at alpha in {0.75, 1} were re-recorded when the NPT
 # witness became the computed smallest partial-transpose eigenvalue in
-# place of the closed form (1-2a)/8; only that line's last bits moved
+# place of the closed form (1-2a)/8; only that line's last bits moved.
+# The four JSON digests at alpha <= 1/2 were re-recorded when the
+# certificate dropped its constant eta purities; only that block went
 SEPARABILITY_DIGESTS = {
-    ("0", "--json"): "2fe50318350c24a7e69ee4649c4e93dfbd0d92b01ef2efaf4c1935f89241350e",
+    ("0", "--json"): "4539aad36b17d6e42ad3b3452e72c8e9f6f18de6faf53ef98ebb758d48777472",
     ("0", None): "86d0efb017318fa405448f3f356189e05ae1c3848a95078fbeaa12775cace8b4",
-    ("0.25", "--json"): "14e95d6b4f530060fb6b563fff1a28a4177706ff658d1f3fcfbacd61512e4211",
+    ("0.25", "--json"): "5da33e53d5a59698edcc82d44308778f6f48271d1190f23a0544bcf6569c184e",
     ("0.25", None): "8a0e8736dc971b5e69df464e96daeeed48be1a8a290ec6bca6aa84dac0279acf",
-    ("0.4", "--json"): "ce6eabf78aa1818e5097e79182b8debb2ccb9496954cdda4d5d2f250c1093826",
+    ("0.4", "--json"): "210da93ebf2f10e418433efba0101aac62aa423865041835204f9718b759c342",
     ("0.4", None): "3137023d7f2df78176fa24d83cac534c08dfe329b65a76ad69df6961c286ba52",
-    ("0.5", "--json"): "1ccb03cd9f2934d56dcd6bbc4e197ca0d4030a42e619a00f175a8d0dcd9748a9",
+    ("0.5", "--json"): "3c5b43c8781274c6cf1f9247136c56e8051d1ffeb2b5c7cc7d6ebf19247a6bb0",
     ("0.5", None): "910311457f07e63e2e1d67df214f3367b9ba7f63d165970703f7fa5c4a2abc75",
     ("0.75", "--json"): "73591c3c1009155812bcf73f48d337ceeb6f884fc65c0a7e0007a25b8b7e3015",
     ("0.75", None): "c297d178d5174de61c2e244a95d65ddb3643981a41bcf13f6dafa64efc5ba1f8",
@@ -291,25 +293,6 @@ def test_separability_sweep_builds_canonical_unitary_once(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 102
     # the cache fills through build_un, so its unitarity check runs once
     assert len(calls) == 1
-
-
-def test_separability_sweep_computes_eta_purities_once(monkeypatch, capsys):
-    from dqc1lab import separability
-
-    calls = []
-    real = separability.product_vector_purities
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(separability, "product_vector_purities", counting)
-    separability._eta_component_purities.cache_clear()
-    assert main(["sweep", "--quantity", "separability", "--steps", "101"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 102
-    # 51 of the 101 alphas are <= 1/2 and carry the purities in their
-    # certificate: one call per pure component of eta, for all of them
-    assert len(calls) == 2
 
 
 def test_sweep_and_battery_read_one_closed_form(monkeypatch, capsys):

@@ -42,6 +42,22 @@ def test_u2_is_the_expected_permutation():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_canonical_unitary_is_a_classical_permutation(n):
+    # a symmetric involution on the basis fixing the states whose first and
+    # last register bits differ: its normalized trace is the fraction of
+    # fixed points, which uniform classical sampling estimates as well
+    u = d.build_un(d.canonical_blocks(), n)
+    dim = 2**n
+    assert np.isin(u, (0, 1)).all()
+    assert (u.sum(axis=0) == 1).all() and (u.sum(axis=1) == 1).all()
+    assert np.array_equal(u, u.T)
+    assert np.array_equal(u @ u, np.eye(dim))
+    fixed = [b for b in range(dim) if u[b, b] == 1]
+    assert fixed == [b for b in range(dim) if (b >> (n - 1)) != (b & 1)]
+    assert np.trace(u) / dim == 0.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_built_unitaries_are_unitary(n):
     u = d.build_un(d.canonical_blocks(), n)
     assert np.abs(u.conj().T @ u - np.eye(2**n)).max() < 1e-12

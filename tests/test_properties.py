@@ -8,7 +8,13 @@ random-state helper, so a failure names the seed that reproduces it.
 import itertools
 
 import numpy as np
-from conftest import random_density_matrix, random_unitary
+from conftest import (
+    ensemble_state,
+    pauli_coefficients,
+    pauli_product_ensemble,
+    random_density_matrix,
+    random_unitary,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +121,23 @@ def test_negativity_is_unchanged_by_a_product_of_single_qubit_unitaries(
         w = np.kron(w, random_unitary(rng, 2))
     rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
     assert abs(d.negativity(rotated, cut) - d.negativity(rho, cut)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds)
+def test_a_state_with_pauli_l1_norm_at_most_one_is_a_product_ensemble(seed):
+    # rho = (I + sum_P r_P P)/D with r_P = tr(P rho); scaling toward I/D
+    # until sum_P |r_P| <= 1 leaves every mixture weight non-negative.  At
+    # t = 1/l1 the weight on I/D is 0, which the rounding of its sum over
+    # at most 63 terms moves by a few ulps either way
+    rng = np.random.default_rng(seed)
+    for num_qubits in (2, 3):
+        rho = random_density_matrix(rng, num_qubits).matrix
+        dim = len(rho)
+        terms = {p: dim * c.real for p, c in pauli_coefficients(rho).items()
+                 if p != "I" * num_qubits}
+        t = min(1.0, 1 / sum(abs(r) for r in terms.values()))
+        ensemble = pauli_product_ensemble({p: t * r for p, r in terms.items()})
+        assert all(weight >= -1e-14 for weight, _ in ensemble)
+        scaled = np.eye(dim) / dim + t * (rho - np.eye(dim) / dim)
+        assert np.abs(ensemble_state(ensemble) - scaled).max() <= 1e-12

@@ -19,6 +19,7 @@ import dqc1lab as d
 from dqc1lab.reproduce import ALPHA_GRID, CLOSED_FORM_TOL, QUANTITIES
 
 a = sp.Symbol("alpha", nonnegative=True)
+theta, phi = sp.symbols("theta phi", real=True)
 UNIT = sp.Interval(0, 1)
 
 # rho3's only off-diagonal entries, alpha/8 each: (|000>,|111>),
@@ -32,6 +33,18 @@ PAULI = {"I": sp.eye(2), "X": sp.Matrix([[0, 1], [1, 0]]),
 def identical(lhs, rhs) -> bool:
     """lhs == rhs for every alpha >= 0."""
     return sp.simplify(sp.piecewise_fold((lhs - rhs).rewrite(sp.Piecewise))) == 0
+
+
+def without_cancelled_angles(x):
+    """x with its trigonometric terms written as exponentials and expanded,
+    so that every dependence on theta and phi that cancels drops out."""
+    return sp.expand(sp.expand(x).rewrite(sp.exp))
+
+
+def entropy_bits(spectrum: dict):
+    """-sum m lam log2(lam) over eigenvalue -> multiplicity, with 0 log2 0 = 0."""
+    return -sum(m * sp.Piecewise((0, sp.Eq(lam, 0)), (lam * sp.log(lam, 2), True))
+                for lam, m in spectrum.items())
 
 
 def rho3_symbolic() -> sp.Matrix:
@@ -88,6 +101,26 @@ def pt_spectra() -> dict[int, dict]:
     """Eigenvalue -> multiplicity of rho3's partial transpose on each single-qubit cut."""
     rho = rho3_symbolic()
     return {q: partial_transpose(rho, q).eigenvals() for q in range(3)}
+
+
+#: The spectrum of the state that qubits 0 and 2 are left in after a
+#: projective measurement of qubit 1, for either outcome and every direction
+REGISTER_CONDITIONAL_SPECTRUM = {sp.Rational(1, 4): 2, (1 + a) / 4: 1, (1 - a) / 4: 1}
+
+
+def register_discord():
+    """Discord of rho3 measured on qubit 1, S(rho_1) - S(rho) + S_cond.
+
+    S_cond is the least conditional entropy over measurement directions;
+    every direction leaves REGISTER_CONDITIONAL_SPECTRUM with probability
+    1/2 per outcome, so S_cond is that spectrum's entropy.
+    """
+    rho = rho3_symbolic()
+    rho_1 = sp.Matrix(2, 2, lambda x, y: sum(
+        rho[i, j] for i in range(8) for j in range(8)
+        if (i >> 1) & 1 == x and (j >> 1) & 1 == y and i & 5 == j & 5))
+    return (entropy_bits(rho_1.eigenvals()) - entropy_bits(rho.eigenvals())
+            + entropy_bits(REGISTER_CONDITIONAL_SPECTRUM))
 
 
 def register_cut_trace_norm():
@@ -161,9 +194,36 @@ def test_correlation_gram_rank():
         assert grams[q] == a**2 / 16 * sp.eye(3)
 
 
+def test_register_measurement_spectra_do_not_depend_on_the_direction():
+    # each outcome of measuring qubit 1 along (theta, phi) has probability
+    # 1/2, and tr B^k for k = 1..4 fixes the spectrum of the 4x4 conditional
+    # state B, so the spectrum is the same in every direction; for k = 2..4
+    # these read a^2/8 + 1/4, 3a^2/32 + 1/16 and a^4/128 + 3a^2/64 + 1/64
+    rho = rho3_symbolic()
+    ct, st, ph = sp.cos(theta / 2), sp.sin(theta / 2), sp.exp(sp.I * phi)
+    reference = sp.diag(*[lam for lam, m in REGISTER_CONDITIONAL_SPECTRUM.items()
+                          for _ in range(m)])
+    for v in (sp.Matrix([ct, st * ph]), sp.Matrix([st, -ct * ph])):
+        outcome = trace_out(sp.kronecker_product(PAULI["I"], v * v.H, PAULI["I"]) * rho, 1)
+        p = without_cancelled_angles(outcome.trace())
+        assert p == sp.Rational(1, 2)
+        conditional = outcome / p
+        for k in range(1, 5):
+            power_trace = without_cancelled_angles((conditional**k).trace())
+            assert power_trace == sp.expand((reference**k).trace()), k
+
+
+def test_register_discord_is_the_closed_form():
+    h = -entropy_bits({1 + a: 1, 1 - a: 1})  # (1+a)log2(1+a) + (1-a)log2(1-a)
+    assert identical(register_discord(), h / 4)
+
+
 def test_closed_form_table_agrees_with_the_proofs_on_the_grid():
+    # math, not numpy: its Piecewise evaluates only the taken branch, so
+    # (1-a)log2(1-a) reads its limit 0 at alpha = 1
     proven = {"mult-negativity": sp.lambdify(a, register_cut_trace_norm(), "numpy"),
-              "pt-spectrum-min": sp.lambdify(a, sp.Min(*pt_spectra()[1]), "numpy")}
+              "pt-spectrum-min": sp.lambdify(a, sp.Min(*pt_spectra()[1]), "numpy"),
+              "discord-register": sp.lambdify(a, register_discord(), "math")}
     for name, form in proven.items():
         closed_form = QUANTITIES[name][1]
         for alpha in ALPHA_GRID:
