@@ -23,7 +23,7 @@ from .linalg import DensityMatrix, _random_unitary, _unitary, trace_norm
 MAX_STRATEGIES = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdversaryStrategy:
     """One 2x2 unitary per system qubit, applied before the copy gates."""
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -248,5 +249,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def _run() -> None:
+    """Process entry: freeze the import heap, which lives until exit anyway,
+    so that shutdown does not collect it; in-process ``main`` calls keep
+    ordinary collection."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _run()

@@ -34,7 +34,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 RHO3_ENTANGLING_CUT = (1,)
 
 
-@dataclass(frozen=True)
+def _check_polarization(alpha: float) -> None:
+    """The one polarization rule: alpha in [0, 1], so NaN and +-inf fail."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+@dataclass(frozen=True, eq=False)
 class UnitaryBlockSpec:
     """Four single-qubit blocks assembling the two-qubit seed unitary.
 
@@ -69,16 +75,21 @@ def canonical_blocks() -> UnitaryBlockSpec:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dqc1State:
     """Joint output state of the circuit for one polarization value.
 
     ``unitary`` acts on the register; the state has one qubit more.
+    ``alpha`` must lie in [0, 1]; the state and the unitary are taken as
+    given, since ``build_dqc1_state`` admits them.
     """
 
     alpha: float
     state: DensityMatrix
     unitary: np.ndarray
+
+    def __post_init__(self):
+        _check_polarization(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,7 @@ def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
 
     A u whose dimension is not 2**n fails the state's dimension rule.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_polarization(alpha)  # before the state's own rules see a bad alpha
     u = _unitary(u, "register unitary")
     dim = u.shape[0]
     rho = np.eye(2 * dim, dtype=np.complex128)

@@ -59,7 +59,7 @@ def _unitary(u: np.ndarray, what: str) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on qubits.
 

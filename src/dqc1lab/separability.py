@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, rho3
+from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _check_polarization, rho3
 from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_transpose
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
@@ -38,7 +38,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparabilityVerdict:
     """Certified separability status with the evidence that produced it."""
 
@@ -144,8 +144,7 @@ def kay_criterion(rho: DensityMatrix) -> SeparabilityVerdict:
 
 def omega_state(alpha: float) -> DensityMatrix:
     """GHZ-diagonal component of the decomposition, normalized by 1/(8-4*alpha)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_polarization(alpha)
     m = np.diag([1, 1 - alpha, 1 - alpha, 1, 1, 1 - alpha, 1 - alpha, 1]).astype(np.complex128)
     for i, j in ((0, 7), (3, 4)):
         m[i, j] = alpha

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import copy
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -687,6 +689,49 @@ def test_console_script_entry_point():
          "mult-negativity", "--steps", "3"],
         capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.startswith("alpha,quantity,value")
+
+
+def test_the_process_entry_freezes_the_import_heap(tmp_path):
+    # the import heap lives until exit, so the entry freezes it and
+    # shutdown does not collect it; an atexit hook reads the freeze count
+    # at exit, after the command, and a bare import freezes nothing
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(f'frozen={gc.get_freeze_count()}', file=sys.stderr))\n",
+        encoding="utf-8")
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    argv = ["sweep", "--quantity", "mult-negativity", "--steps", "3"]
+    entry = subprocess.run([sys.executable, "-m", "dqc1lab.cli", *argv],
+                           capture_output=True, text=True, check=True, env=env)
+    assert int(re.fullmatch(r"frozen=(\d+)\n", entry.stderr)[1]) > 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    assert entry.stdout == buf.getvalue()
+    bare = subprocess.run([sys.executable, "-c", "import dqc1lab.cli"],
+                          capture_output=True, text=True, check=True, env=env)
+    assert bare.stderr == "frozen=0\n"
+
+
+def test_in_process_main_keeps_ordinary_collection(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["separability", "--alpha", "0.25"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_console_script_runs_the_module_entry():
+    # tomllib is missing on Python 3.10, so the script table is read as text
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)[1]
+    module, function = re.fullmatch(r'dqc1-lab = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    assert module == "dqc1lab.cli"
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main_blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(s) for s in body] for body in main_blocks] == [[f"{function}()"]]
+    assert callable(getattr(cli, function))
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -180,6 +180,7 @@ def test_rho3_matches_the_entrywise_coupling_pairs():
 ALPHA_ENTRY_POINTS = {
     "rho3": d.rho3,
     "build-dqc1-state": lambda a: d.build_dqc1_state(np.eye(4), a),
+    "dqc1-state": lambda a: d.Dqc1State(a, d.rho3(0.5).state, d.rho3(0.5).unitary),
     "omega-state": d.omega_state,
     "full-separability-verdict": d.full_separability_verdict,
     "activation-sweep": lambda a: d.activation_sweep([0.5, a], strategies=2, seed=0),

@@ -1,13 +1,16 @@
 """Property tests of the partial transpose, the discord-type measures and
-the activation protocol on random few-qubit states.
+the activation protocol on random few-qubit states, and of the public
+boundaries and records.
 
 Each example draws a seed and builds its states with the suite's seeded
 random-state helper, so a failure names the seed that reproduces it.
 """
 
 import itertools
+import re
 
 import numpy as np
+import pytest
 from conftest import (
     ensemble_state,
     pauli_coefficients,
@@ -141,3 +144,90 @@ def test_a_state_with_pauli_l1_norm_at_most_one_is_a_product_ensemble(seed):
         assert all(weight >= -1e-14 for weight, _ in ensemble)
         scaled = np.eye(dim) / dim + t * (rho - np.eye(dim) / dim)
         assert np.abs(ensemble_state(ensemble) - scaled).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generic_unitaries_are_certified_separable_only_below_half(n):
+    # U = sum_Q u_Q Q gives the output (I + a sum_Q (Re u_Q X(x)Q + Im u_Q
+    # Y(x)Q))/D, whose Pauli l1 norm is a * sum_Q (|Re u_Q| + |Im u_Q|), so
+    # the product ensemble reaches a* = 1/that sum; the l1 certificate is
+    # sufficient, not necessary, so a* bounds what it can certify
+    for seed in range(8):
+        u = random_unitary(np.random.default_rng(seed), 2**n)
+        a_star = 1 / sum(abs(c.real) + abs(c.imag) for c in pauli_coefficients(u).values())
+        assert a_star < 0.5, (seed, a_star)
+        rho = d.build_dqc1_state(u, a_star).state.matrix
+        terms = {p: len(rho) * c.real for p, c in pauli_coefficients(rho).items()
+                 if p != "I" * (n + 1)}
+        assert abs(sum(abs(r) for r in terms.values()) - 1) <= 1e-12, seed
+        ensemble = pauli_product_ensemble(terms)
+        assert all(weight >= -1e-14 for weight, _ in ensemble), seed
+        assert np.abs(ensemble_state(ensemble) - rho).max() <= 1e-12, seed
+
+
+def with_entry(v, scale=1.0):
+    """The 2x2 identity times ``scale`` with v at [0, 0]."""
+    m = scale * np.eye(2, dtype=np.complex128)
+    m[0, 0] = v
+    return m
+
+
+ALPHA_RULE = "alpha must lie in [0, 1], got {v}"
+MATRIX_RULE = "matrix has a non-finite entry"
+
+# every public numeric boundary, fed v in one input: exception type, message
+NON_FINITE_BOUNDARIES = {
+    "MeasurementBasis-theta": (lambda v: d.MeasurementBasis(v, 0.0),
+                               ValueError, "theta must lie in [0, pi]"),
+    "MeasurementBasis-phi": (lambda v: d.MeasurementBasis(0.0, v),
+                             ValueError, "phi must lie in [0, 2*pi)"),
+    "build_dqc1_state": (lambda v: d.build_dqc1_state(np.eye(4), v), ValueError, ALPHA_RULE),
+    "rho3": (d.rho3, ValueError, ALPHA_RULE),
+    "omega_state": (d.omega_state, ValueError, ALPHA_RULE),
+    "full_separability_verdict": (d.full_separability_verdict, ValueError, ALPHA_RULE),
+    "activation_sweep": (lambda v: d.activation_sweep([v], 1, 0), ValueError, ALPHA_RULE),
+    "sample_trace_estimate": (lambda v: d.sample_trace_estimate(d.rho3(0.5), v, 0),
+                              TypeError, "'float' object cannot be interpreted as an integer"),
+    "Dqc1State": (lambda v: d.Dqc1State(v, d.rho3(0.5).state, d.rho3(0.5).unitary),
+                  ValueError, ALPHA_RULE),
+    "ghz_reconstruct": (lambda v: d.ghz_reconstruct([v] + [0.0] * 7),
+                        ValueError, "coefficients have a non-finite entry"),
+    "trace_norm": (lambda v: d.trace_norm(with_entry(v)), ValueError, MATRIX_RULE),
+    "hermitian_eigenvalues": (lambda v: d.hermitian_eigenvalues(with_entry(v)),
+                              ValueError, MATRIX_RULE),
+    "kron": (lambda v: d.kron(np.eye(2), with_entry(v)), ValueError, MATRIX_RULE),
+    "AdversaryStrategy": (lambda v: d.AdversaryStrategy((np.eye(2), with_entry(v), np.eye(2))),
+                          ValueError, MATRIX_RULE),
+    "UnitaryBlockSpec": (lambda v: d.UnitaryBlockSpec(
+        with_entry(v), np.eye(2), np.eye(2), np.eye(2)), ValueError, MATRIX_RULE),
+    "DensityMatrix": (lambda v: d.DensityMatrix(with_entry(v, scale=0.5)),
+                      ValueError, MATRIX_RULE),
+}
+
+
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, error, message", NON_FINITE_BOUNDARIES.values(),
+                         ids=NON_FINITE_BOUNDARIES.keys())
+def test_non_finite_input_is_rejected_at_every_public_boundary(call, error, message, v):
+    with pytest.raises(error, match=f"^{re.escape(message.format(v=v))}$") as info:
+        call(v)
+    assert type(info.value) is error
+
+
+# records that hold arrays or a dict; value equality raised numpy's
+# "truth value ... is ambiguous" and hash raised "unhashable type"
+RECORDS = {
+    "DensityMatrix": lambda: d.rho3(0.5).state,
+    "UnitaryBlockSpec": d.canonical_blocks,
+    "Dqc1State": lambda: d.rho3(0.5),
+    "AdversaryStrategy": d.AdversaryStrategy.identity,
+    "SeparabilityVerdict": lambda: d.full_separability_verdict(0.25),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
