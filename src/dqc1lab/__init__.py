@@ -11,9 +11,7 @@ from .correlations import (
     DiscordResult,
     MeasurementBasis,
     classical_correlation,
-    classical_correlation_many,
     discord,
-    discord_many,
     multiplicative_negativity,
     mutual_information,
     negativity,
@@ -68,8 +66,8 @@ __all__ = [
     "NonGhzDiagonalError", "RHO3_ENTANGLING_CUT", "ReproduceReport",
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
     "activate", "activation_sweep", "build_dqc1_state",
-    "build_un", "canonical_blocks", "classical_correlation",
-    "classical_correlation_many", "discord", "discord_many", "eta_state",
+    "build_un", "canonical_blocks", "classical_correlation", "discord",
+    "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",
     "ghz_reconstruct", "hermitian_eigensystem", "hermitian_eigenvalues",
     "kay_criterion", "kron", "kron_all", "maximally_mixed",

@@ -9,7 +9,7 @@ partial transpose and is exactly 1 for PPT states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -168,8 +168,8 @@ def _grid_start_cells(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tg[order], pg[order]
 
 
-def classical_correlation_many(rhos: Sequence[DensityMatrix],
-                               measured_qubit: int) -> list[tuple[float, MeasurementBasis]]:
+def classical_correlation(rhos: Iterable[DensityMatrix],
+                          measured_qubit: int) -> list[tuple[float, MeasurementBasis]]:
     """Largest measurement-extractable correlation of each state, with its basis.
 
     Maximizes S(unmeasured) - sum_k p_k S(rho_k) over rank-1 projective
@@ -180,10 +180,10 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
     kernel call per step, each along the same path it would take alone,
     so a state's result does not depend on the others.  Each result is a
     certified lower bound on the supremum; ties in the optimum location
-    break toward the smallest (theta, phi) pair.  The batch must be
-    nonempty, its states all of one qubit count; ``discord_many`` takes
-    the same batch through this check.
+    break toward the smallest (theta, phi) pair.  The batch is read once;
+    it must be nonempty, its states all of one qubit count.
     """
+    rhos = list(rhos)
     if len({rho.num_qubits for rho in rhos}) != 1:
         raise ValueError("a batch takes one or more states, all with the same "
                          "number of qubits")
@@ -213,19 +213,14 @@ def classical_correlation_many(rhos: Sequence[DensityMatrix],
     return results
 
 
-def classical_correlation(rho: DensityMatrix,
-                          measured_qubit: int) -> tuple[float, MeasurementBasis]:
-    """``classical_correlation_many`` of one state."""
-    return classical_correlation_many([rho], measured_qubit)[0]
-
-
-def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int) -> list[DiscordResult]:
+def discord(rhos: Iterable[DensityMatrix], measured_qubit: int) -> list[DiscordResult]:
     """Mutual information across the measured-qubit cut minus the
     classical correlation, per state; small negative residues above
     -1e-9 clamp to 0.  The classical correlations share one lock-step."""
+    rhos = list(rhos)
     mis = [mutual_information(rho, (measured_qubit,)) for rho in rhos]
     results = []
-    for mi, (cc, basis) in zip(mis, classical_correlation_many(rhos, measured_qubit)):
+    for mi, (cc, basis) in zip(mis, classical_correlation(rhos, measured_qubit)):
         q = mi - cc
         if q < -DISCORD_CLAMP:
             raise RuntimeError(
@@ -238,8 +233,3 @@ def discord_many(rhos: Sequence[DensityMatrix], measured_qubit: int) -> list[Dis
             optimal_basis=basis,
         ))
     return results
-
-
-def discord(rho: DensityMatrix, measured_qubit: int) -> DiscordResult:
-    """``discord_many`` of one state."""
-    return discord_many([rho], measured_qubit)[0]

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .activation import AdversaryStrategy, activate, activation_sweep
-from .correlations import classical_correlation_many, discord_many, multiplicative_negativity
+from .correlations import classical_correlation, discord, multiplicative_negativity
 from .dqc1 import (
     PAULI_X,
     PAULI_Y,
@@ -74,18 +74,18 @@ QUANTITIES: dict[str, tuple[Callable[[list[float]], list[float]],
         lambda a: (1 - 2 * a) / 8,
     ),
     "discord": (
-        lambda alphas: [r.discord for r in discord_many(
+        lambda alphas: [r.discord for r in discord(
             [rho3(a).state for a in alphas], 0)],
         None,
     ),
     "discord-register": (
-        lambda alphas: [r.discord for r in discord_many(
+        lambda alphas: [r.discord for r in discord(
             [rho3(a).state for a in alphas], 1)],
         lambda a: ((1 + a) * np.log2(1 + a) + (1 - a) * np.log2(max(1 - a, 1e-300))
                    if a > 0 else 0.0) / 4,
     ),
     "classical-correlation": (
-        lambda alphas: [cc for cc, _ in classical_correlation_many(
+        lambda alphas: [cc for cc, _ in classical_correlation(
             [rho3(a).state for a in alphas], 0)],
         None,
     ),
@@ -234,7 +234,7 @@ def run_reproduce() -> ReproduceReport:
     # discord across the clean-qubit cut and on a register qubit: one
     # optimizer lock-step per measured qubit
     discord_states = [rho3(a).state for a in (0.1, 0.25, 0.5)]
-    *clean, at_zero = discord_many(discord_states + [rho3(0.0).state], 0)
+    *clean, at_zero = discord(discord_states + [rho3(0.0).state], 0)
     report.add_threshold(
         "discord-positive-range", min(r.discord for r in clean), 1e-4,
         "published positivity claim for measurement on the clean qubit; the "
@@ -243,7 +243,7 @@ def run_reproduce() -> ReproduceReport:
         "check records the discrepancy and fails")
     report.add_threshold(
         "discord-register-qubit-positive",
-        min(r.discord for r in discord_many(discord_states, 1)), 1e-4,
+        min(r.discord for r in discord(discord_states, 1)), 1e-4,
         "discord measured on a register qubit is strictly positive, the "
         "non-classicality the activation protocol detects")
     report.add_deviation("discord-vanishes-at-zero", at_zero.discord, 1e-9,

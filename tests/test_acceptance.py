@@ -163,7 +163,7 @@ def test_criterion_6_activation():
 
 def test_criterion_7_discord_positivity():
     with check("7 discord") as c:
-        assert d.discord(d.rho3(0.0).state, 0).discord < 1e-9
+        assert d.discord([d.rho3(0.0).state], 0)[0].discord < 1e-9
         elapsed_guard = time.perf_counter() - c.start
         assert elapsed_guard < 60.0
         # the register unitary is Hermitian, so the state is classical on
@@ -171,7 +171,7 @@ def test_criterion_7_discord_positivity():
         # information, and the positivity sits on the register side
         for a in (0.1, 0.25, 0.5):
             m = d.rho3(a).state.matrix
-            value = d.discord(d.rho3(a).state, 0).discord
+            value = d.discord([d.rho3(a).state], 0)[0].discord
             assert value <= 1e-9, (
                 f"clean-qubit discord at alpha={a}: {value:.3e} is an upper "
                 f"bound (classical_correlation is a lower bound) and is not "
@@ -190,7 +190,7 @@ def test_criterion_7_discord_positivity():
             assert abs(j_x - mutual) <= 1e-12, (
                 f"X-basis oracle at alpha={a}: J_X = {j_x:.15f} vs "
                 f"I(A:B) = {mutual:.15f}")
-            register_value = d.discord(d.rho3(a).state, 1).discord
+            register_value = d.discord([d.rho3(a).state], 1)[0].discord
             closed = ((1 + a) * np.log2(1 + a) + (1 - a) * np.log2(1 - a)) / 4
             assert register_value > 1e-4, (
                 f"register-qubit discord at alpha={a}: {register_value:.3e} "
@@ -199,6 +199,39 @@ def test_criterion_7_discord_positivity():
                 f"register-qubit discord at alpha={a}: computed "
                 f"{register_value:.12f} vs derived "
                 f"[(1+a)log2(1+a) + (1-a)log2(1-a)]/4 = {closed:.12f}")
+
+
+def test_dissonance_of_rho3_is_pinned_between_two_bounds():
+    # dissonance, the quantity in the paper's title, is the relative
+    # entropy to the nearest fully classical state (Modi, Paterek, Son,
+    # Vedral & Williamson, PRL 104, 080501, 2010): the minimum over
+    # product bases of S(Pi(rho)) - S(rho), where Pi dephases each qubit
+    # in its own basis.  Upper bound: one product basis, X on the clean
+    # qubit and Z on both register qubits.  Lower bound: dissonance is at
+    # least the one-way deficit on qubit 1, which is at least the discord
+    # measured on qubit 1 (Horodecki et al., PRA 71, 062307, 2005); that
+    # discord is exactly [(1+a)log2(1+a) + (1-a)log2(1-a)]/4, as
+    # tests/test_symbolic.py proves.  The upper bound meets the lower one
+    xzz = np.kron(HADAMARD, np.eye(4))  # columns: the product basis
+
+    def upper(a):
+        m = d.rho3(a).state.matrix
+        dephased = np.diag(np.diag(xzz.conj().T @ m @ xzz))
+        return _entropy_bits(dephased) - _entropy_bits(m)
+
+    with check("dissonance-bounds"):
+        for a in ALPHA_GRID:
+            value = upper(a)
+            lower = sum(x * np.log2(x) for x in (1 + a, 1 - a) if x > 0) / 4
+            assert abs(value - lower) <= 1e-12, (
+                f"XZZ dephasing at alpha={a}: {value:.15f} vs "
+                f"[(1+a)log2(1+a) + (1-a)log2(1-a)]/4 = {lower:.15f}")
+        # the abstract's claim: dissonance in a fully separable state
+        for a in (0.1, 0.25, 0.5):
+            value = upper(a)
+            assert value > 1e-4, f"dissonance at alpha={a}: {value:.3e}"
+            verdict = d.full_separability_verdict(a).status
+            assert verdict is d.Verdict.FULLY_SEPARABLE, (a, verdict)
 
 
 def test_separable_iff_alpha_at_most_half_at_every_register_size():

@@ -744,23 +744,34 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out.stdout == "False\n"
 
 
-def benchmark_spans() -> types.ModuleType:
-    """The benchmark's tracer module, loaded read-only from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spans = types.ModuleType("spans")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
-    return spans
+def benchmark_module(name: str) -> types.ModuleType:
+    """A module of the benchmark, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # registered while it runs, because dataclasses look their module up
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
 
 def test_benchmark_traced_names_exist_and_are_called():
     # the benchmark's tracer wraps functions by name before any command
-    # runs; run a traced discord sweep
-    spans = benchmark_spans()
+    # runs; a name that no workload calls reads 0 in every metric named
+    # after it, so run the seed-0 ops of every workload traced
+    spans = benchmark_module("spans")
+    workloads = benchmark_module("workloads")
+    ops = [op for w in workloads.WORKLOADS for op in workloads.make_ops(w, 0)]
     tracer = spans.Tracer()
     tracer.install()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["sweep", "--quantity", "discord-register", "--steps", "2"])
+        outputs = []
+        for op in ops:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                outputs.append((cli.main(op.argv), out.getvalue()))
         # the benchmark's kernel microtimings: register-qubit blocks of rho3(0.5)
         from dqc1lab import _kernels, rho3
 
@@ -770,19 +781,21 @@ def test_benchmark_traced_names_exist_and_are_called():
         values = _kernels.conditional_entropy_grid(blocks, np.array([1.0]), np.array([2.0]))
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert [op.verdict(*output) for op, output in zip(ops, outputs)] == [None] * len(ops)
     assert values.shape == (1,)
-    names = [s[spans.NAME] for s in tracer.spans]
-    for name in ("cli.main", "correlations._refine", "_kernels.conditional_entropy_grid",
-                 "dqc1.rho3"):
-        assert name in names
-    assert spans.layer_metrics(tracer.spans)["correlations.refine_calls"] == 1
+    traced = {f"{module}.{name}" for module, names in spans.TRACED.items() for name in names}
+    assert traced - {s[spans.NAME] for s in tracer.spans} == set()
+    # two discord sweeps and the battery's two discord calls: one
+    # optimizer lock-step each
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["correlations.classical_correlation_calls"] == 4
+    assert metrics["correlations.refine_calls"] == 4
 
 
 def test_traced_trace_estimate_reads_its_shots():
     # the tracer reads shots as sample_trace_estimate's second positional
     # argument; a signature change would read 0 shots instead
-    spans = benchmark_spans()
+    spans = benchmark_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -800,7 +813,7 @@ def test_traced_reproduce_builds_one_state_per_alpha():
     # coefficients its verdict extracted, so neither is built twice
     from dqc1lab import reproduce
 
-    spans = benchmark_spans()
+    spans = benchmark_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -363,9 +363,9 @@ def test_lockstep_refine_reproduces_sequential_descent_at_the_clamp_edges(
 
 
 @pytest.mark.parametrize("qubit", [0, 1])
-def test_classical_correlation_many_reproduces_sequential_oracle_bitwise(qubit):
+def test_classical_correlation_batch_reproduces_sequential_oracle_bitwise(qubit):
     states = [d.rho3(a).state for a in SWEEP_ALPHAS]
-    got = d.classical_correlation_many(states, qubit)
+    got = d.classical_correlation(states, qubit)
     want = [sequential_classical_correlation(rho, qubit) for rho in states]
     assert [(value, (basis.theta, basis.phi)) for value, basis in got] == want
 
@@ -375,7 +375,7 @@ def test_lockstep_refine_matches_sequential_descent_on_random_states():
     for n in (2, 3, 4):
         states = [random_density_matrix(rng, n) for _ in range(2)]
         for q in range(n):
-            got = d.classical_correlation_many(states, q)
+            got = d.classical_correlation(states, q)
             for rho, (value, basis) in zip(states, got):
                 want_value, want_basis = sequential_classical_correlation(rho, q)
                 assert abs(value - want_value) < 1e-12
@@ -402,20 +402,20 @@ def test_classical_correlation_makes_one_kernel_call_per_lockstep_step(monkeypat
     # the grid takes the 2080 class representatives of the 64x128 grid,
     # then the 6112 cells they stand for
     grid_calls = [2080, 6112]
-    d.classical_correlation(states[0], 1)
+    d.classical_correlation(states[:1], 1)
     assert calls[:2] == grid_calls
     assert len(calls) == 2 + longest[0]
     assert max(calls[2:]) == 5
 
     # several states: their grid calls, then one lock-step for all
     calls.clear()
-    d.classical_correlation_many(states, 1)
+    d.classical_correlation(states, 1)
     assert calls[:6] == grid_calls * 3
     assert len(calls) == 6 + max(longest)
     assert max(calls[6:]) == 15
 
 
-def test_classical_correlation_many_peak_memory_is_one_states_grid():
+def test_classical_correlation_batch_peak_memory_is_one_states_grid():
     # the states' grids run one after another, and nothing of one grid
     # may outlive its call: 5 states peak no higher than one
     states = [d.rho3(a).state for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -423,7 +423,7 @@ def test_classical_correlation_many_peak_memory_is_one_states_grid():
     def peak(rhos):
         tracemalloc.start()
         try:
-            d.classical_correlation_many(rhos, 1)
+            d.classical_correlation(rhos, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -452,17 +452,35 @@ def test_grid_kernel_peak_memory_does_not_grow_past_one_slice():
     assert peak(8192) <= peak(512) + 80 * 1024
 
 
-def test_classical_correlation_many_rejects_mixed_sizes():
+def test_classical_correlation_rejects_mixed_sizes():
     with pytest.raises(ValueError, match="same number of qubits"):
-        d.classical_correlation_many([d.maximally_mixed(2), d.maximally_mixed(3)], 0)
+        d.classical_correlation([d.maximally_mixed(2), d.maximally_mixed(3)], 0)
+
+
+BATCH_FUNCTIONS = pytest.mark.parametrize(
+    "batch", [d.classical_correlation, d.discord], ids=["classical-correlation", "discord"])
+
+
+@BATCH_FUNCTIONS
+def test_batch_functions_read_a_one_shot_iterable_once(batch):
+    # the qubit-count check must not use up a generator the loop then reads
+    states = [d.rho3(a).state for a in (0.25, 0.5)]
+    assert batch((rho for rho in states), 0) == batch(states, 0)
+
+
+@BATCH_FUNCTIONS
+def test_batch_functions_reject_a_bare_state(batch):
+    # one state is a batch of one, not a batch
+    with pytest.raises(TypeError):
+        batch(d.rho3(0.5).state, 0)
 
 
 # an empty batch fails the batch check before its measured qubit is read
 @pytest.mark.parametrize("call", [
-    lambda: d.classical_correlation_many([], 0),
-    lambda: d.discord_many([], 7),
-    lambda: d.discord_many([], 0.5),
-], ids=["classical-correlation-many", "discord-many-index-7", "discord-many-index-0.5"])
+    lambda: d.classical_correlation([], 0),
+    lambda: d.discord([], 7),
+    lambda: d.discord([], 0.5),
+], ids=["classical-correlation", "discord-index-7", "discord-index-0.5"])
 def test_batch_functions_reject_an_empty_batch(call):
     with pytest.raises(ValueError, match="^a batch takes one or more states, all with "
                                          "the same number of qubits$"):
@@ -525,7 +543,7 @@ def test_grid_order_gives_a_cell_the_same_bits_in_any_subset(size):
 def test_classical_correlation_of_product_state():
     rng = np.random.default_rng(40)
     rho = random_product_state(rng, 2)
-    value, _ = d.classical_correlation(rho, 0)
+    value, _ = d.classical_correlation([rho], 0)[0]
     assert abs(value) < 1e-7
 
 
@@ -533,14 +551,14 @@ def test_classical_correlation_of_classically_correlated_pair():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5
     rho = d.DensityMatrix(m)
-    value, basis = d.classical_correlation(rho, 0)
+    value, basis = d.classical_correlation([rho], 0)[0]
     assert value == pytest.approx(1.0, abs=1e-7)
     # theta = 0 and theta = pi are both optimal; ties break low
     assert basis.theta == pytest.approx(0.0, abs=1e-7)
 
 
 def test_classical_correlation_of_rho3_is_positive():
-    value, basis = d.classical_correlation(d.rho3(0.5).state, 0)
+    value, basis = d.classical_correlation([d.rho3(0.5).state], 0)[0]
     assert value > 0.1
     # the X measurement is optimal for the clean qubit
     assert basis.theta == pytest.approx(np.pi / 2, abs=1e-5)
@@ -552,7 +570,7 @@ def test_classical_correlation_exact_for_clean_qubit():
     # recover the full mutual information
     for a in (0.25, 0.5, 1.0):
         rho = d.rho3(a).state
-        value, _ = d.classical_correlation(rho, 0)
+        value, _ = d.classical_correlation([rho], 0)[0]
         assert value == pytest.approx(clean_qubit_mi_oracle(a), abs=1e-9)
 
 
@@ -563,12 +581,12 @@ def test_classical_correlation_exact_for_clean_qubit():
 def test_discord_of_product_state_is_zero():
     rng = np.random.default_rng(41)
     rho = random_product_state(rng, 2)
-    result = d.discord(rho, 0)
+    result = d.discord([rho], 0)[0]
     assert result.discord < 1e-7
 
 
 def test_discord_result_invariant():
-    result = d.discord(d.rho3(0.7).state, 1)
+    result = d.discord([d.rho3(0.7).state], 1)[0]
     assert result.discord == pytest.approx(
         result.mutual_information - result.classical_correlation, abs=1e-9)
     assert result.discord >= 0
@@ -580,7 +598,7 @@ def test_discord_below_the_clamp_window_raises(monkeypatch):
     monkeypatch.setattr(_kernels, "conditional_entropy_grid",
                         lambda *args: kernel(*args) - 1e-6)
     with pytest.raises(RuntimeError, match="below the -1e-9 clamp window"):
-        d.discord(d.rho3(0.5).state, 0)
+        d.discord([d.rho3(0.5).state], 0)
 
 
 def test_rho3_is_classical_on_the_clean_qubit():
@@ -593,7 +611,7 @@ def test_rho3_is_classical_on_the_clean_qubit():
         flagged = (np.kron(np.outer(plus, plus.conj()), np.eye(4) + a * u2)
                    + np.kron(np.outer(minus, minus.conj()), np.eye(4) - a * u2)) / 8
         assert np.abs(flagged - d.rho3(a).state.matrix).max() < 1e-15
-        result = d.discord(d.rho3(a).state, 0)
+        result = d.discord([d.rho3(a).state], 0)[0]
         assert result.discord < 1e-9
 
 
@@ -611,17 +629,17 @@ def test_rho3_register_qubit_discord_matches_constancy_oracle():
         cc_oracle = (d.von_neumann_entropy(d.partial_trace(rho, (0, 2)))
                      - values[0])
         discord_oracle = d.mutual_information(rho, (1,)) - cc_oracle
-        result = d.discord(rho, 1)
+        result = d.discord([rho], 1)[0]
         assert result.classical_correlation == pytest.approx(cc_oracle, abs=1e-7)
         assert result.discord == pytest.approx(discord_oracle, abs=1e-7)
         assert result.discord > 1e-4
         # the two register qubits are interchangeable
-        assert d.discord(rho, 2).discord == pytest.approx(result.discord, abs=1e-7)
+        assert d.discord([rho], 2)[0].discord == pytest.approx(result.discord, abs=1e-7)
 
 
 def test_discord_vanishes_at_zero_polarization():
-    assert d.discord(d.rho3(0.0).state, 0).discord < 1e-9
-    assert d.discord(d.rho3(0.0).state, 1).discord < 1e-9
+    assert d.discord([d.rho3(0.0).state], 0)[0].discord < 1e-9
+    assert d.discord([d.rho3(0.0).state], 1)[0].discord < 1e-9
 
 
 def test_discord_zero_for_state_diagonal_in_rotated_product_basis():
@@ -630,17 +648,17 @@ def test_discord_zero_for_state_diagonal_in_rotated_product_basis():
     diag = np.diag(probs).astype(complex)
     u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
     rho = d.DensityMatrix(u @ diag @ u.conj().T)
-    assert d.discord(rho, 0).discord < 1e-6
-    assert d.discord(rho, 1).discord < 1e-6
+    assert d.discord([rho], 0)[0].discord < 1e-6
+    assert d.discord([rho], 1)[0].discord < 1e-6
 
 
 def test_discord_invariant_under_unmeasured_local_unitaries():
     rng = np.random.default_rng(44)
     rho = d.rho3(0.5).state
-    base = d.discord(rho, 1)
+    base = d.discord([rho], 1)[0]
     w = np.kron(random_unitary(rng, 2), np.kron(np.eye(2), random_unitary(rng, 2)))
     rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
-    result = d.discord(rotated, 1)
+    result = d.discord([rotated], 1)[0]
     assert result.discord == pytest.approx(base.discord, abs=1e-6)
     assert result.classical_correlation == pytest.approx(
         base.classical_correlation, abs=1e-6)
@@ -649,10 +667,10 @@ def test_discord_invariant_under_unmeasured_local_unitaries():
 def test_discord_invariant_under_measured_qubit_rotation():
     rng = np.random.default_rng(45)
     rho = random_density_matrix(rng, 2)
-    base = d.discord(rho, 0)
+    base = d.discord([rho], 0)[0]
     w = np.kron(random_unitary(rng, 2), np.eye(2))
     rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
-    result = d.discord(rotated, 0)
+    result = d.discord([rotated], 0)[0]
     assert result.discord == pytest.approx(base.discord, abs=1e-6)
 
 

@@ -211,13 +211,14 @@ QUBIT_SUBSET_ENTRY_POINTS = {
     "partial-trace": d.partial_trace,
     "negativity": d.negativity,
     "mutual-information": d.mutual_information,
-    "classical-correlation": lambda rho, qs: d.classical_correlation(rho, *qs),
-    "classical-correlation-many": lambda rho, qs: d.classical_correlation_many([rho], *qs),
-    "discord": lambda rho, qs: d.discord(rho, *qs),
-    "discord-many": lambda rho, qs: d.discord_many([rho], *qs),
+    "classical-correlation": lambda rho, qs: d.classical_correlation([rho], *qs),
+    "classical-correlation-generator":
+        lambda rho, qs: d.classical_correlation((r for r in [rho]), *qs),
+    "discord": lambda rho, qs: d.discord([rho], *qs),
+    "discord-generator": lambda rho, qs: d.discord((r for r in [rho]), *qs),
 }
-MEASURED_QUBIT = {"classical-correlation", "classical-correlation-many", "discord",
-                  "discord-many"}
+MEASURED_QUBIT = {"classical-correlation", "classical-correlation-generator", "discord",
+                  "discord-generator"}
 # a cut needs a qubit on each side; a transpose or a kept set may take them all
 STRICT_SUBSET = MEASURED_QUBIT | {"negativity", "mutual-information"}
 

@@ -48,7 +48,7 @@ def test_the_partial_transpose_is_an_involution(seed, num_qubits):
 @given(seed=seeds, qubit=qubits)
 def test_discord_lies_between_zero_and_the_mutual_information(seed, qubit):
     rho = two_qubit_state(seed)
-    result = d.discord(rho, qubit)
+    result = d.discord([rho], qubit)[0]
     assert 0.0 <= result.discord <= result.mutual_information + 1e-12
     assert result.mutual_information == d.mutual_information(rho, (qubit,))
 
@@ -57,7 +57,7 @@ def test_discord_lies_between_zero_and_the_mutual_information(seed, qubit):
 @given(seed=seeds, qubit=qubits)
 def test_classical_correlation_is_at_most_either_marginal_entropy(seed, qubit):
     rho = two_qubit_state(seed)
-    value, _ = d.classical_correlation(rho, qubit)
+    value, _ = d.classical_correlation([rho], qubit)[0]
     s_a = d.von_neumann_entropy(d.partial_trace(rho, (0,)))
     s_b = d.von_neumann_entropy(d.partial_trace(rho, (1,)))
     assert value <= min(s_a, s_b) + 1e-12
@@ -67,8 +67,8 @@ def test_classical_correlation_is_at_most_either_marginal_entropy(seed, qubit):
 @given(batch=st.lists(seeds, min_size=1, max_size=4), qubit=qubits)
 def test_a_batch_equals_its_states_one_at_a_time(batch, qubit):
     states = [two_qubit_state(seed) for seed in batch]
-    together = d.discord_many(states, qubit)
-    alone = [d.discord(rho, qubit) for rho in states]
+    together = d.discord(states, qubit)
+    alone = [d.discord([rho], qubit)[0] for rho in states]
     assert together == alone
 
 
@@ -89,7 +89,7 @@ def test_a_local_unitary_on_an_unmeasured_qubit_leaves_the_correlations(
     for q in range(num_qubits):
         w = np.kron(w, random_unitary(rng, 2) if q == rotated_qubit else np.eye(2))
     rotated = d.DensityMatrix(w @ rho.matrix @ w.conj().T)
-    base, moved = d.discord(rho, measured), d.discord(rotated, measured)
+    base, moved = d.discord([rho], measured)[0], d.discord([rotated], measured)[0]
     assert abs(moved.discord - base.discord) <= 1e-9
     assert abs(moved.classical_correlation - base.classical_correlation) <= 1e-9
 
