@@ -54,7 +54,6 @@ from .separability import (
     ghz_reconstruct,
     kay_criterion,
     omega_state,
-    pauli_expectation,
     pauli_string_matrix,
 )
 
@@ -73,7 +72,7 @@ __all__ = [
     "kay_criterion", "kron", "kron_all", "maximally_mixed",
     "multiplicative_negativity", "mutual_information", "negativity",
     "omega_state", "partial_trace", "partial_transpose",
-    "partial_transpose_matrix", "pauli_expectation",
-    "pauli_string_matrix", "relative_entropy", "rho3", "run_reproduce",
+    "partial_transpose_matrix", "pauli_string_matrix",
+    "relative_entropy", "rho3", "run_reproduce",
     "sample_trace_estimate", "trace_norm", "von_neumann_entropy",
 ]

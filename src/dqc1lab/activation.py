@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dqc1 import rho3
+from .dqc1 import _check_seed, rho3
 from .linalg import DensityMatrix, _random_unitary, _unitary, trace_norm
 
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
@@ -51,6 +51,7 @@ class AdversaryStrategy:
     @classmethod
     def random(cls, seed: int) -> "AdversaryStrategy":
         """One seeded Haar unitary per qubit, drawn by ``linalg._random_unitary``."""
+        _check_seed(seed)
         rng = np.random.default_rng(seed)
         return cls(tuple(_random_unitary(rng, 2) for _ in range(3)),
                    label=f"random(seed={seed})")
@@ -103,6 +104,7 @@ def activation_sweep(alphas: Sequence[float], strategies: int,
     strategies = operator.index(strategies)
     if not 1 <= strategies <= MAX_STRATEGIES:
         raise ValueError(f"strategy count must lie in [1, {MAX_STRATEGIES}], got {strategies}")
+    _check_seed(seed)
     children = np.random.SeedSequence(seed).spawn(max(strategies - 1, 0))
     pool = [AdversaryStrategy.identity()]
     pool += [AdversaryStrategy.random(int(c.generate_state(1)[0])) for c in children]

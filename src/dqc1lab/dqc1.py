@@ -16,15 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z  # re-exported as dqc1.PAULI_*
 from .linalg import DensityMatrix, _as_complex_matrix, _unitary, kron_all
 
 MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
-
-PAULI_I = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 #: Single-register-qubit cut across which the three-qubit output state
 #: becomes NPT for alpha > 1/2.  Transposing qubit 2 behaves identically;
@@ -38,6 +34,12 @@ def _check_polarization(alpha: float) -> None:
     """The one polarization rule: alpha in [0, 1], so NaN and +-inf fail."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _check_seed(seed: int) -> None:
+    """The one seed rule: a non-negative integer, so a float is a TypeError."""
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +189,7 @@ def sample_trace_estimate(s: Dqc1State, shots: int, seed: int) -> TraceEstimate:
     shots = operator.index(shots)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+    _check_seed(seed)
     exact_re, exact_im = expectation_xy(s)
     rng = np.random.default_rng(seed)
     means = []

@@ -21,6 +21,12 @@ EIG_HERMITICITY_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-12
 MAX_KRON_DIM = 4096
 
+PAULI_I = np.eye(2, dtype=np.complex128)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_PAULI_STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
@@ -168,6 +174,21 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, descending."""
     return np.linalg.eigvalsh(_hermitian_input(m))[::-1]
+
+
+def _pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
+    """Real (4,)*n array of tr(matrix P) over the n-qubit Pauli strings P, undivided
+    by the dimension, indexed I, X, Y, Z per qubit with qubit 0 first."""
+    m = _as_complex_matrix(matrix)
+    n = _qubit_count(m)
+    t = m.reshape([2] * (2 * n))
+    for k in range(n, 0, -1):  # row axis 0 and column axis k against sigma_mu[col, row]
+        t = np.tensordot(t, _PAULI_STACK, axes=([0, k], [2, 1]))
+    worst = np.unravel_index(np.abs(t.imag).argmax(), t.shape)
+    if abs(t.imag[worst]) > 1e-12:
+        raise ValueError(f"expectation of {''.join('IXYZ'[i] for i in worst)} "
+                         f"has imaginary residue {t.imag[worst]:.3e}")
+    return t.real
 
 
 def partial_transpose_matrix(m: np.ndarray, transposed: Iterable[int]) -> np.ndarray:

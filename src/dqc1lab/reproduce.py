@@ -20,8 +20,6 @@ import numpy as np
 from .activation import AdversaryStrategy, activate, activation_sweep
 from .correlations import classical_correlation, discord, multiplicative_negativity
 from .dqc1 import (
-    PAULI_X,
-    PAULI_Y,
     RHO3_ENTANGLING_CUT,
     build_dqc1_state,
     build_un,
@@ -31,11 +29,11 @@ from .dqc1 import (
     sample_trace_estimate,
 )
 from .linalg import (
+    _pauli_coefficients,
     _random_density_matrix,
     _random_hermitian,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    kron_all,
     maximally_mixed,
     partial_transpose,
     partial_transpose_matrix,
@@ -256,9 +254,8 @@ def run_reproduce() -> ReproduceReport:
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):
             s = build_dqc1_state(u, a)
             ex, ey = expectation_xy(s)
-            eye = np.eye(2**n)
-            bx = float(np.trace(kron_all(PAULI_X, eye) @ s.state.matrix).real)
-            by = float(np.trace(kron_all(PAULI_Y, eye) @ s.state.matrix).real)
+            # tr[(X x I) rho] and tr[(Y x I) rho]: clean-qubit X and Y, register all I
+            bx, by = _pauli_coefficients(s.state.matrix).reshape(4, -1)[1:3, 0]
             dev = max(dev, abs(ex - bx), abs(ey - by))
     report.add_deviation("trace-estimator-formula", dev, 1e-12,
                          "a tr(U)/2^n vs tr[(P x I) rho] for n in {2, 3, 4}")

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqc1 import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _check_polarization, rho3
-from .linalg import DensityMatrix, hermitian_eigenvalues, kron_all, partial_transpose
+from .dqc1 import _check_polarization, rho3
+from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _pauli_coefficients,
+                     hermitian_eigenvalues, kron_all, partial_transpose)
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
 PPT_TOL = -1e-10
@@ -28,6 +29,7 @@ _PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 #: Stabilizer expansion basis of 3-qubit GHZ-diagonal states: any such
 #: state is (1/8) * sum_i lambda_i P_i over these strings, lambda_1 = 1.
 GHZ_PAULI_STRINGS = ("III", "ZZI", "ZIZ", "IZZ", "XXX", "YYX", "YXY", "XYY")
+_GHZ_INDEX = tuple(zip(*[["IXYZ".index(c) for c in s] for s in GHZ_PAULI_STRINGS]))
 
 SINGLE_QUBIT_CUTS = ((0,), (1,), (2,))
 
@@ -74,16 +76,6 @@ def _pauli_string_matrix(factors: str) -> np.ndarray:
     return m
 
 
-def pauli_expectation(rho: DensityMatrix, factors: str) -> float:
-    """tr(rho P) for a 3-qubit Pauli string P; the imaginary residue must vanish."""
-    if rho.num_qubits != 3:
-        raise ValueError("pauli_expectation is defined for 3-qubit states")
-    value = np.trace(rho.matrix @ pauli_string_matrix(factors))
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"expectation of {factors} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def ghz_reconstruct(lambdas: np.ndarray) -> np.ndarray:
     """(1/8) * sum_i lambda_i P_i over the stabilizer expansion basis."""
     lams = np.asarray(lambdas, dtype=float)
@@ -100,11 +92,13 @@ def ghz_reconstruct(lambdas: np.ndarray) -> np.ndarray:
 def ghz_diagonal_coefficients(rho: DensityMatrix) -> np.ndarray:
     """The eight stabilizer expansion coefficients of a GHZ-diagonal state.
 
-    Coefficients are extracted as tr(rho P_i); if reconstructing from
-    them misses the input by more than 1e-10 in max-norm the state is
-    not GHZ-diagonal and NonGhzDiagonalError reports the residual.
+    Coefficients are read as tr(rho P_i) from the Pauli transform; if
+    reconstructing from them misses the input by more than 1e-10 in max-norm
+    the state is not GHZ-diagonal and NonGhzDiagonalError reports the residual.
     """
-    lams = np.array([pauli_expectation(rho, s) for s in GHZ_PAULI_STRINGS])
+    if rho.num_qubits != 3:
+        raise ValueError("GHZ-diagonal coefficients are defined for 3-qubit states")
+    lams = _pauli_coefficients(rho.matrix)[_GHZ_INDEX]
     residual = float(np.abs(ghz_reconstruct(lams) - rho.matrix).max())
     if residual > GHZ_RECONSTRUCTION_TOL:
         raise NonGhzDiagonalError(residual)

@@ -279,6 +279,37 @@ def test_trace_estimate_json_bytes_match_recorded_digest(n, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TRACE_ESTIMATE_DIGESTS[n]
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["activate", "--alpha", "1", "--strategies", "1"], "-1"),
+    (["trace-estimate", "--n", "2", "--alpha", "0.5"], "-3"),
+])
+def test_a_negative_seed_exits_2_naming_the_seed(argv, seed, capsys):
+    assert main([*argv, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+
+
+# SHA-256 of the JSON at seed 0 and at 2**64, recorded before the seed
+# rule came in; both seeds were accepted then and must give the same bytes
+SEED_DIGESTS = {
+    ("activate", "0"): "4ce6e4a84458325decd42c2fc0565c0437973cbcd52ea8da4543e4044bb8af63",
+    ("activate", str(2**64)): "9277cdd7f6ef12435129a52486142ee851c4308bb8761c48e9a3f13b7d1aff7d",
+    ("trace-estimate", "0"): "7b3f72b23cffea2f484f2207650bb7ff5b815910a239e2e768de8a487202c6fd",
+    ("trace-estimate", str(2**64)):
+        "aa0936029951a128e74bca375800596f81da43699be05dae331e182d02182023",
+}
+SEEDED_ARGV = {"activate": ["activate", "--alpha", "0.5", "--strategies", "4"],
+               "trace-estimate": ["trace-estimate", "--n", "2", "--alpha", "0.5"]}
+
+
+@pytest.mark.parametrize("command, seed", SEED_DIGESTS)
+def test_the_smallest_and_a_wide_seed_keep_their_bytes(command, seed, capsys):
+    assert main([*SEEDED_ARGV[command], "--seed", seed, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SEED_DIGESTS[command, seed]
+
+
 def test_separability_sweep_builds_canonical_unitary_once(monkeypatch, capsys):
     from dqc1lab import dqc1
 
@@ -822,4 +853,6 @@ def test_traced_reproduce_builds_one_state_per_alpha():
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["dqc1.rho3_calls"] == 119
-    assert metrics["separability.pauli_matrix_calls"] == 1616
+    # the coefficients come from one Pauli transform; only ghz_reconstruct's
+    # 8 string lookups per GHZ-diagonal part remain
+    assert metrics["separability.pauli_matrix_calls"] == 808

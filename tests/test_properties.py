@@ -8,6 +8,7 @@ random-state helper, so a failure names the seed that reproduces it.
 
 import itertools
 import re
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqc1lab as d
+from dqc1lab.linalg import _pauli_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -163,6 +165,90 @@ def test_generic_unitaries_are_certified_separable_only_below_half(n):
         ensemble = pauli_product_ensemble(terms)
         assert all(weight >= -1e-14 for weight, _ in ensemble), seed
         assert np.abs(ensemble_state(ensemble) - rho).max() <= 1e-12, seed
+
+
+def correlation_gram(rho, qubit):
+    """G_ij = tr(R_i R_j) with R_mu = tr_q[(sigma_mu on q) rho], mu = X, Y, Z.
+
+    R_mu is sum_P c_(mu,P) P / 2**(n-1) over the strings P on the other
+    qubits, so with C the measured qubit's X, Y and Z rows of the Pauli
+    coefficients, G = C C^T / 2**(n-1).
+    """
+    rows = np.moveaxis(_pauli_coefficients(rho.matrix), qubit, 0)[1:].reshape(3, -1)
+    return rows @ rows.T / 2 ** (rho.num_qubits - 1)
+
+
+def classical_quantum_state(rng, num_qubits, qubit):
+    """p_0 |0><0| (x) rho_0 + p_1 |1><1| (x) rho_1 with a Haar unitary on the
+    classical qubit, which then moves to position ``qubit``."""
+    p0 = rng.uniform()
+    rest = [random_density_matrix(rng, num_qubits - 1).matrix for _ in range(2)]
+    m = np.block([[p0 * rest[0], np.zeros_like(rest[0])],
+                  [np.zeros_like(rest[0]), (1 - p0) * rest[1]]])
+    w = np.kron(random_unitary(rng, 2), np.eye(len(rest[0])))
+    t = (w @ m @ w.conj().T).reshape([2] * (2 * num_qubits))
+    t = np.moveaxis(t, [0, num_qubits], [qubit, num_qubits + qubit])
+    return d.DensityMatrix(t.reshape(2**num_qubits, 2**num_qubits))
+
+
+def test_the_transform_gram_matrix_of_rho3_is_the_discrepancy_3_gram_matrix():
+    for a in (0.1, 0.25, 0.5, 1.0):
+        rho = d.rho3(a).state
+        clean = np.linalg.eigvalsh(correlation_gram(rho, 0))
+        assert np.abs(clean - [0, 0, a**2 / 4]).max() <= 1e-15, a
+        for q in (1, 2):
+            assert np.abs(correlation_gram(rho, q) - a**2 / 16 * np.eye(3)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3])
+def test_discord_vanishes_iff_the_correlation_gram_rank_is_at_most_one(num_qubits):
+    # Dakic, Vedral & Brukner (PRL 105, 190502, 2010): a state is classical
+    # on the measured qubit, so its discord there is zero, iff R_X, R_Y and
+    # R_Z span at most one dimension, that is iff G has rank <= 1
+    rng = np.random.default_rng(1000 + num_qubits)
+    for qubit in range(num_qubits):
+        states = [classical_quantum_state(rng, num_qubits, qubit) for _ in range(3)]
+        for rho in states:
+            assert np.linalg.eigvalsh(correlation_gram(rho, qubit))[1] <= 1e-15
+        assert max(r.discord for r in d.discord(states, qubit)) <= 1e-9
+        if num_qubits == 3:
+            generic = [random_density_matrix(rng, 3) for _ in range(2)]
+            for rho in generic:
+                assert np.linalg.eigvalsh(correlation_gram(rho, qubit))[0] > 1e-3
+            assert min(r.discord for r in d.discord(generic, qubit)) > 1e-2
+
+
+def test_the_public_name_list_is_what_the_package_binds():
+    names = d.__all__
+    assert all(hasattr(d, name) for name in names)
+    assert len(set(names)) == len(names)
+    bound = {name for name, value in vars(d).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == bound
+
+
+# every seeded public function, given a seed
+SEEDED_CALLS = {
+    "sample_trace_estimate": lambda seed: d.sample_trace_estimate(d.rho3(0.5), 10, seed),
+    "activation_sweep": lambda seed: d.activation_sweep([0.5], 2, seed),
+    "AdversaryStrategy.random": d.AdversaryStrategy.random,
+}
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS.keys())
+def test_a_negative_seed_is_rejected_naming_the_seed(call):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        call(-1)
+    with pytest.raises(TypeError):
+        call(0.5)
+    call(2**64)
+
+
+def test_a_sweep_checks_its_alphas_and_strategy_count_before_its_seed():
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        d.activation_sweep([2.0], 0, -1)
+    with pytest.raises(ValueError, match="strategy count must lie in"):
+        d.activation_sweep([0.5], 0, -1)
 
 
 def with_entry(v, scale=1.0):

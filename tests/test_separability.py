@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_density_matrix
+from conftest import pauli_coefficients, random_density_matrix
 
 import dqc1lab as d
 from dqc1lab import cli
+from dqc1lab.linalg import _pauli_coefficients
+from dqc1lab.reproduce import ALPHA_GRID
 from dqc1lab.separability import SINGLE_QUBIT_CUTS
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
@@ -61,10 +63,15 @@ def test_cached_pauli_strings_match_kron_oracle():
     assert np.array_equal(d.pauli_string_matrix("XXX"), np.fliplr(np.eye(8)))
 
 
+def coefficient(rho, factors):
+    """tr(rho P) for the Pauli string P named by ``factors``, read from the transform."""
+    return _pauli_coefficients(rho.matrix)[tuple("IXYZ".index(c) for c in factors)]
+
+
 def test_identity_expectation_is_one():
     rng = np.random.default_rng(51)
     rho = random_density_matrix(rng, 3)
-    assert d.pauli_expectation(rho, "III") == pytest.approx(1.0, abs=1e-12)
+    assert coefficient(rho, "III") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_omega_xxx_expectation_matches_trace_oracle():
@@ -76,28 +83,58 @@ def test_omega_xxx_expectation_matches_trace_oracle():
         w = d.omega_state(a)
         oracle = trace_pair_oracle(w.matrix, d.pauli_string_matrix("XXX"))
         assert abs(oracle.imag) < 1e-15
-        assert d.pauli_expectation(w, "XXX") == pytest.approx(oracle.real, abs=1e-14)
+        assert coefficient(w, "XXX") == pytest.approx(oracle.real, abs=1e-14)
         assert oracle.real == pytest.approx(a / (2 - a), abs=1e-12)
 
 
 def test_omega_yyx_expectation_is_zero():
-    assert d.pauli_expectation(d.omega_state(0.5), "YYX") == pytest.approx(
-        0.0, abs=1e-14)
+    assert coefficient(d.omega_state(0.5), "YYX") == pytest.approx(0.0, abs=1e-14)
 
 
-def test_pauli_expectation_requires_three_qubits():
-    with pytest.raises(ValueError):
-        d.pauli_expectation(d.maximally_mixed(2), "XXX")
+def test_ghz_coefficients_require_three_qubits():
+    with pytest.raises(ValueError, match="defined for 3-qubit states"):
+        d.ghz_diagonal_coefficients(d.maximally_mixed(2))
 
 
-def test_pauli_expectation_rejects_an_imaginary_residue():
+def test_the_pauli_transform_rejects_an_imaginary_residue():
     # i * 4.9e-13 on each anti-diagonal entry leaves a hermiticity defect of
-    # 9.8e-13, which admission allows, and sums to 8 * 4.9e-13 in tr(rho XXX)
+    # 9.8e-13, which admission allows, and sums to 8 * 4.9e-13 in tr(rho XXX),
+    # the largest residue of the 64 strings
     m = d.rho3(0.5).state.matrix.copy()
     m[np.fliplr(np.eye(8, dtype=bool))] += 4.9e-13j
     rho = d.DensityMatrix(m)
-    with pytest.raises(ValueError, match=r"^expectation of XXX has imaginary residue 3\.920e-12$"):
-        d.pauli_expectation(rho, "XXX")
+    message = r"^expectation of XXX has imaginary residue 3\.920e-12$"
+    with pytest.raises(ValueError, match=message):
+        _pauli_coefficients(rho.matrix)
+    with pytest.raises(ValueError, match=message):
+        d.ghz_diagonal_coefficients(rho)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_the_pauli_transform_matches_the_kron_oracle(num_qubits):
+    # the conftest oracle builds every string with np.kron and divides by
+    # the dimension; the transform does neither
+    rho = random_density_matrix(np.random.default_rng(num_qubits), num_qubits)
+    coefficients = _pauli_coefficients(rho.matrix)
+    assert coefficients.shape == (4,) * num_qubits
+    for factors, value in pauli_coefficients(rho.matrix).items():
+        index = tuple("IXYZ".index(c) for c in factors)
+        assert abs(coefficients[index] / 2**num_qubits - value) <= 1e-15, factors
+
+
+def test_the_pauli_transform_rejects_a_non_qubit_dimension():
+    with pytest.raises(ValueError, match="matrix dim 3 is not 2"):
+        _pauli_coefficients(np.eye(3))
+
+
+def test_ghz_coefficients_equal_the_per_string_traces_bit_for_bit():
+    # the reference is the per-string route the transform replaced
+    for a in ALPHA_GRID:
+        for state in (d.rho3(a).state, d.omega_state(a)):
+            reference = np.array([np.trace(state.matrix @ d.pauli_string_matrix(s)).real
+                                  for s in d.GHZ_PAULI_STRINGS])
+            got = np.array([coefficient(state, s) for s in d.GHZ_PAULI_STRINGS])
+            assert got.tobytes() == reference.tobytes(), a
 
 
 # --------------------------------------------------------------------------
