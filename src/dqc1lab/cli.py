@@ -46,7 +46,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         width = max(len(c.name) for c in report.checks)
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
-            print(f"{status}  {c.name:<{width}}  computed={c.computed:.3e}  "
+            computed = "none" if c.computed is None else f"{c.computed:.3e}"
+            print(f"{status}  {c.name:<{width}}  computed={computed}  "
                   f"expected={c.expected:.3e}  ({c.comparison}, tol={c.tolerance:.0e})")
             if not c.passed and c.note:
                 print(f"      note: {c.note}")

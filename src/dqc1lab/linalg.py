@@ -21,11 +21,10 @@ EIG_HERMITICITY_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-12
 MAX_KRON_DIM = 4096
 
-PAULI_I = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI_STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+_PAULI_STACK = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                         [[1, 0], [0, -1]]], dtype=np.complex128)
+_PAULI_STACK.setflags(write=False)  # shared by every caller, as are its four views below
+PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = _PAULI_STACK
 
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:

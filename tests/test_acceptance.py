@@ -19,6 +19,7 @@ each value:
   > 1e-4 on the clean qubit (discrepancy 3, ``discord-positive-range``).
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -262,6 +263,37 @@ def test_separable_iff_alpha_at_most_half_at_every_register_size():
                     assert abs(pt_min - (1 - 2 * a) / 2 ** (n + 1)) <= 1e-12, (
                         f"smallest partial-transpose eigenvalue at n={n}, "
                         f"alpha={a}: {pt_min:.15f}")
+
+
+def test_register_adds_only_classical_flags():
+    # U_n puts only I or X on the n - 2 middle register qubits, so on their
+    # X eigenstates |x~> it acts as U_2 with the XX and YY terms signed by
+    # the parity s(x), and Z on r1 flips exactly those two signs:
+    # rho_n(a) = sum_x 2^-(n-2) |x~><x~| (x) Z_r1^s(x) rho3(a) Z_r1^s(x),
+    # one three-qubit state copied under orthogonal classical flags
+    x_eigenvectors = np.array([[1, 1], [1, -1]]) / np.sqrt(2)  # columns |+>, |->
+    z_r1 = np.kron(np.kron(np.eye(2), np.diag([1, -1])), np.eye(2))
+    with check("register-flag-reduction"):
+        for n in range(3, 6):
+            m = n - 2
+            u = d.build_un(d.canonical_blocks(), n)
+            # (middle..., clean, r1, r_last) to package order (clean, r1, middle..., r_last)
+            order = [m, m + 1, *range(m), m + 2]
+            order += [n + 1 + k for k in order]
+            for a in ALPHA_GRID:
+                rho3 = d.rho3(a).state.matrix
+                flagged = (rho3, z_r1 @ rho3 @ z_r1)
+                mixture = np.zeros((2 ** (n + 1),) * 2, dtype=complex)
+                for x in itertools.product((0, 1), repeat=m):
+                    ket = np.array([1.0])
+                    for bit in x:
+                        ket = np.kron(ket, x_eigenvectors[:, bit])
+                    term = np.kron(np.outer(ket, ket) / 2**m, flagged[sum(x) % 2])
+                    mixture += term.reshape((2,) * (2 * n + 2)).transpose(order).reshape(
+                        mixture.shape)
+                residual = np.abs(mixture - d.build_dqc1_state(u, a).state.matrix).max()
+                assert residual <= 1e-15, (
+                    f"flagged rho3 misses the output at n={n}, alpha={a} by {residual:.3e}")
 
 
 def test_discrepancy_3_correlation_gram_rank():

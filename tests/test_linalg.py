@@ -492,3 +492,20 @@ def test_eigensolver_failure_raises_numpys_own_error(solver, call, monkeypatch):
     monkeypatch.setattr(np.linalg, solver, failing)
     with pytest.raises(np.linalg.LinAlgError, match="^no convergence$"):
         call(np.eye(2))
+
+
+def test_pauli_constants_are_read_only():
+    from dqc1lab import dqc1, linalg
+
+    arrays = [linalg.PAULI_I, linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z,
+              linalg._PAULI_STACK]
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        dqc1.PAULI_X[0, 0] = 5
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    # a failed write leaves the shared constants intact for every later build
+    u = d.build_un(d.canonical_blocks(), 3)
+    assert np.array_equal(u @ u.conj().T, np.eye(8))
