@@ -36,7 +36,6 @@ class AdversaryStrategy:
             u = _unitary(u, "strategy unitary")
             if u.shape != (2, 2):
                 raise ValueError("strategy unitaries must be 2x2")
-            u.setflags(write=False)
             checked.append(u)
         if len(checked) != 3:
             raise ValueError(f"a strategy takes 3 unitaries, one per system qubit, "

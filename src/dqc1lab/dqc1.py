@@ -62,7 +62,6 @@ class UnitaryBlockSpec:
             m = _as_complex_matrix(getattr(self, name))
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2")
-            m.setflags(write=False)
             object.__setattr__(self, name, m)
 
 
@@ -83,7 +82,8 @@ class Dqc1State:
 
     ``unitary`` acts on the register; the state has one qubit more.
     ``alpha`` must lie in [0, 1]; the state and the unitary are taken as
-    given, since ``build_dqc1_state`` admits them.
+    given, since ``build_dqc1_state`` admits them, but the unitary is
+    stored under ``linalg``'s ownership rule.
     """
 
     alpha: float
@@ -92,6 +92,7 @@ class Dqc1State:
 
     def __post_init__(self):
         _check_polarization(self.alpha)
+        object.__setattr__(self, "unitary", _as_complex_matrix(self.unitary))
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,7 @@ def rho3(alpha: float) -> Dqc1State:
 @functools.cache
 def _canonical_u2() -> np.ndarray:
     """build_un(canonical_blocks(), 2), validated once and shared read-only."""
-    u = build_un(canonical_blocks(), 2)
-    u.setflags(write=False)
-    return u
+    return build_un(canonical_blocks(), 2)
 
 
 def expectation_xy(s: Dqc1State) -> tuple[float, float]:

@@ -28,7 +28,13 @@ PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = _PAULI_STACK
 
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
+    """m as a finite square complex128 matrix that no caller can write; the one
+    ownership rule.  A read-only array that owns its data is taken as is, and
+    anything else is copied and the copy frozen."""
+    if not (type(m) is np.ndarray and m.dtype == np.complex128
+            and m.flags.owndata and not m.flags.writeable):
+        m = np.array(m, dtype=np.complex128)
+        m.setflags(write=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -87,7 +93,6 @@ class DensityMatrix:
             raise ValueError("density matrix trace is not 1 within 1e-12")
         if np.linalg.eigvalsh(m).min() < PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqc1 import _check_polarization, rho3
-from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _pauli_coefficients,
+from .linalg import (_PAULI_STACK, DensityMatrix, _as_complex_matrix, _pauli_coefficients,
                      hermitian_eigenvalues, kron_all, partial_transpose)
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
 PPT_TOL = -1e-10
-
-_PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 #: Stabilizer expansion basis of 3-qubit GHZ-diagonal states: any such
 #: state is (1/8) * sum_i lambda_i P_i over these strings, lambda_1 = 1.
@@ -64,16 +62,14 @@ def pauli_string_matrix(factors: str) -> np.ndarray:
     The 64 matrices are built once each and shared read-only.
     """
     if (not isinstance(factors, str) or len(factors) != 3
-            or any(c not in _PAULI for c in factors)):
+            or any(c not in "IXYZ" for c in factors)):
         raise ValueError(f"expected a length-3 string over IXYZ, got {factors!r}")
     return _pauli_string_matrix(factors)
 
 
 @functools.cache
 def _pauli_string_matrix(factors: str) -> np.ndarray:
-    m = kron_all(*[_PAULI[c] for c in factors])
-    m.setflags(write=False)
-    return m
+    return _as_complex_matrix(kron_all(*[_PAULI_STACK["IXYZ".index(c)] for c in factors]))
 
 
 def ghz_reconstruct(lambdas: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ import pytest
 from conftest import (
     ensemble_state,
     oracle_partial_trace,
+    oracle_partial_transpose,
     pauli_coefficients,
     pauli_product_ensemble,
     random_density_matrix,
@@ -294,6 +295,46 @@ def test_register_adds_only_classical_flags():
                 residual = np.abs(mixture - d.build_dqc1_state(u, a).state.matrix).max()
                 assert residual <= 1e-15, (
                     f"flagged rho3 misses the output at n={n}, alpha={a} by {residual:.3e}")
+
+
+def test_register_negativity_is_rho3s_at_the_induced_cut():
+    # the flags are orthogonal and classical, so across any bipartition the
+    # partial transpose of rho_3(a) is a flagged mixture of rho3(a)'s at the
+    # cut induced on (clean, r1, r_last), with the same trace norm; the
+    # oracle transposes rho3's matrix by index arithmetic
+    u = d.build_un(d.canonical_blocks(), 3)
+    induced = {0: 0, 1: 1, 3: 2}  # package qubit of rho_3 -> qubit of rho3
+    with check("register-flag-negativity"):
+        for a in (0.1, 0.5, 0.75, 1.0):
+            state = d.build_dqc1_state(u, a).state
+            m = d.rho3(a).state.matrix
+            values = []
+            for size in (1, 2, 3):
+                for cut in itertools.combinations(range(4), size):
+                    pt = oracle_partial_transpose(m, 3, [induced[q] for q in cut if q in induced])
+                    oracle = np.abs(np.linalg.eigvalsh(pt)).sum()
+                    values.append(d.multiplicative_negativity(state, cut))
+                    assert abs(values[-1] - oracle) <= 1e-14, (
+                        f"cut {cut} at alpha={a}: {values[-1]:.17f} vs rho3's "
+                        f"{oracle:.17f}")
+            assert abs(max(values) - max(1.0, (2 * a + 3) / 4)) <= 1e-14, a
+
+
+def test_register_discord_is_rho3s_at_n_3():
+    # measured on r1 or r_last, the flagged copies of rho3 keep its register
+    # discord h(a)/4; the middle qubit carries only the flags, diagonal in its
+    # X basis, and the clean qubit stays classical, so both read 0
+    u = d.build_un(d.canonical_blocks(), 3)
+    alphas = (0.1, 0.5, 1.0)
+    states = [d.build_dqc1_state(u, a).state for a in alphas]
+    with check("register-flag-discord"):
+        for q in range(4):
+            for a, result in zip(alphas, d.discord(states, q)):
+                h = sum(x * np.log2(x) for x in (1 + a, 1 - a) if x > 0)
+                expected = h / 4 if q in (1, 3) else 0.0
+                assert abs(result.discord - expected) <= 1e-9, (
+                    f"discord on qubit {q} at alpha={a}: {result.discord:.3e} "
+                    f"vs {expected:.12f}")
 
 
 def test_discrepancy_3_correlation_gram_rank():

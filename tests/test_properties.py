@@ -317,3 +317,44 @@ def test_records_compare_and_hash_by_identity(make):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+# records that store a caller's array: a valid input, and the record's stored
+# arrays when it is built from a complex128 array m holding that input
+OWNERS = {
+    "DensityMatrix": (np.eye(4) / 4, lambda m: [d.DensityMatrix(m).matrix]),
+    "UnitaryBlockSpec": (np.eye(2), lambda m: list(vars(d.UnitaryBlockSpec(m, m, m, m)).values())),
+    "AdversaryStrategy": (np.eye(2), lambda m: list(d.AdversaryStrategy((m, m, m)).unitaries)),
+    "build_dqc1_state": (np.eye(4), lambda m: [d.build_dqc1_state(m, 0.5).unitary]),
+    "Dqc1State": (np.eye(4), lambda m: [d.Dqc1State(0.5, d.rho3(0.5).state, m).unitary]),
+}
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+@pytest.mark.parametrize("value, stored", OWNERS.values(), ids=OWNERS.keys())
+def test_records_own_their_arrays(value, stored, view):
+    k = len(value)
+    base = np.zeros((8, 8), dtype=np.complex128)
+    base[:k, :k] = value
+    m = base[:k, :k] if view else base[:k, :k].copy()
+    arrays = stored(m)
+    assert m.flags.writeable and base.flags.writeable
+    for a in arrays:
+        assert not a.flags.writeable and a is not m
+    m[0, 0] = 5
+    base[:] = 7
+    for a in arrays:
+        assert np.array_equal(a, value)
+
+
+def test_a_state_outlives_writes_to_its_callers_arrays():
+    big = np.zeros((8, 8), dtype=np.complex128)
+    big[:4, :4] = np.eye(4) / 4
+    state = d.DensityMatrix(big[:4, :4])
+    u = np.eye(4, dtype=np.complex128)
+    output = d.build_dqc1_state(u, 0.5)
+    big[0, 0] = 5
+    u[0, 0] = -1
+    assert np.trace(state.matrix) == 1
+    assert d.von_neumann_entropy(state) == pytest.approx(2.0, abs=1e-12)
+    assert d.expectation_xy(output) == (0.5, 0.0)

@@ -1,5 +1,6 @@
 """Symbolic proofs, for every alpha in [0, 1], of the closed forms behind the
-reproduction battery and of its three published failures.
+reproduction battery, of its three published failures and of the classical
+flags that a third register qubit adds.
 
 Each matrix is built here from its defining entries in exact arithmetic
 over a symbol alpha, with its own index rules for the partial transpose and
@@ -70,6 +71,35 @@ def eta_symbolic() -> sp.Matrix:
     return (phi * phi.H + psi * psi.H) / 2
 
 
+def output_n3_symbolic() -> sp.Matrix:
+    """The circuit output [[I, a U^H], [a U, I]]/16 for the canonical three-qubit
+    U = [[I (x) a1, X (x) c1], [X (x) d1, I (x) b1]], as ``build_un`` assembles it."""
+    a1, b1 = sp.diag(0, 1), sp.diag(1, 0)
+    c1, d1 = sp.Matrix([[0, 1], [0, 0]]), sp.Matrix([[0, 0], [1, 0]])
+    k = sp.kronecker_product
+    u = sp.Matrix(sp.BlockMatrix([[k(PAULI["I"], a1), k(PAULI["X"], c1)],
+                                  [k(PAULI["X"], d1), k(PAULI["I"], b1)]]))
+    return sp.Matrix(sp.BlockMatrix([[sp.eye(8), a * u.H], [a * u, sp.eye(8)]])) / 16
+
+
+def flagged_rho3_symbolic() -> sp.Matrix:
+    """sum_x 1/2 |x~><x~| (x) Z_r1^x rho3 Z_r1^x over the middle qubit's X
+    eigenstates |+>, |->, with the qubits in the package order (clean, r1,
+    middle, r_last)."""
+    rho = rho3_symbolic()
+    z_r1 = sp.kronecker_product(PAULI["I"], PAULI["Z"], PAULI["I"])
+    flagged = (rho, z_r1 * rho * z_r1)
+    flags = ((PAULI["I"] + PAULI["X"]) / 2, (PAULI["I"] - PAULI["X"]) / 2)
+
+    def entry(i, j):
+        i, j = int(i), int(j)
+        mid_i, mid_j = (i >> 1) & 1, (j >> 1) & 1
+        rest_i, rest_j = (i >> 1) & 6 | i & 1, (j >> 1) & 6 | j & 1
+        return sum(flags[x][mid_i, mid_j] * flagged[x][rest_i, rest_j] for x in (0, 1)) / 2
+
+    return sp.Matrix(16, 16, entry)
+
+
 def partial_transpose(m: sp.Matrix, qubit: int) -> sp.Matrix:
     """Swap one qubit's row and column bits; qubit 0 is the leading bit."""
     bit = 4 >> qubit
@@ -129,9 +159,12 @@ def register_cut_trace_norm():
 
 def test_symbolic_states_are_the_package_states():
     rho = sp.lambdify(a, rho3_symbolic(), "numpy")
+    rho_n3 = sp.lambdify(a, output_n3_symbolic(), "numpy")
     omega = sp.lambdify(a, omega_symbolic(), "numpy")
+    u3 = d.build_un(d.canonical_blocks(), 3)
     for alpha in (0.0, 0.3, 1.0):
         assert np.array_equal(rho(alpha), d.rho3(alpha).state.matrix)
+        assert np.array_equal(rho_n3(alpha), d.build_dqc1_state(u3, alpha).state.matrix)
         assert np.abs(omega(alpha) - d.omega_state(alpha).matrix).max() <= 1e-16
     eta = np.array(eta_symbolic().evalf(), dtype=complex)
     assert np.abs(eta - d.eta_state().matrix).max() <= 1e-16
@@ -216,6 +249,13 @@ def test_register_measurement_spectra_do_not_depend_on_the_direction():
 def test_register_discord_is_the_closed_form():
     h = -entropy_bits({1 + a: 1, 1 - a: 1})  # (1+a)log2(1+a) + (1-a)log2(1-a)
     assert identical(register_discord(), h / 4)
+
+
+def test_register_adds_only_classical_flags_at_n_3():
+    # exact, entry by entry: the 16x16 output is rho3 copied under the
+    # orthogonal flags |+>, |-> of the middle qubit, Z on r1 for |->
+    difference = output_n3_symbolic() - flagged_rho3_symbolic()
+    assert difference.applyfunc(sp.expand) == sp.zeros(16, 16)
 
 
 def test_closed_form_table_agrees_with_the_proofs_on_the_grid():
