@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dqc1 import _check_seed, rho3
-from .linalg import DensityMatrix, _random_unitary, _unitary, trace_norm
+from .linalg import DensityMatrix, _frozen, _random_unitary, _unitary, trace_norm
 
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
 MAX_STRATEGIES = 100_000
@@ -33,7 +33,7 @@ class AdversaryStrategy:
     def __post_init__(self):
         checked = []
         for u in self.unitaries:
-            u = _unitary(u, "strategy unitary")
+            u = _unitary(_frozen(u), "strategy unitary")
             if u.shape != (2, 2):
                 raise ValueError("strategy unitaries must be 2x2")
             checked.append(u)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z  # re-exported as dqc1.PAULI_*
-from .linalg import DensityMatrix, _as_complex_matrix, _unitary, kron_all
+from .linalg import DensityMatrix, _frozen, _unitary, kron_all
 
 MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
@@ -59,7 +59,7 @@ class UnitaryBlockSpec:
 
     def __post_init__(self):
         for name in ("a1", "b1", "c1", "d1"):
-            m = _as_complex_matrix(getattr(self, name))
+            m = _frozen(getattr(self, name))
             if m.shape != (2, 2):
                 raise ValueError(f"block {name} must be 2x2")
             object.__setattr__(self, name, m)
@@ -83,7 +83,7 @@ class Dqc1State:
     ``unitary`` acts on the register; the state has one qubit more.
     ``alpha`` must lie in [0, 1]; the state and the unitary are taken as
     given, since ``build_dqc1_state`` admits them, but the unitary is
-    stored under ``linalg``'s ownership rule.
+    stored under ``linalg``'s storage rule.
     """
 
     alpha: float
@@ -92,7 +92,7 @@ class Dqc1State:
 
     def __post_init__(self):
         _check_polarization(self.alpha)
-        object.__setattr__(self, "unitary", _as_complex_matrix(self.unitary))
+        object.__setattr__(self, "unitary", _frozen(self.unitary))
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,8 @@ def rho3(alpha: float) -> Dqc1State:
 
 @functools.cache
 def _canonical_u2() -> np.ndarray:
-    """build_un(canonical_blocks(), 2), validated once and shared read-only."""
-    return build_un(canonical_blocks(), 2)
+    """build_un(canonical_blocks(), 2), validated once; each state stores its own copy."""
+    return _frozen(build_un(canonical_blocks(), 2))
 
 
 def expectation_xy(s: Dqc1State) -> tuple[float, float]:

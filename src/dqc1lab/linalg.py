@@ -21,25 +21,28 @@ EIG_HERMITICITY_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-12
 MAX_KRON_DIM = 4096
 
-_PAULI_STACK = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
-                         [[1, 0], [0, -1]]], dtype=np.complex128)
-_PAULI_STACK.setflags(write=False)  # shared by every caller, as are its four views below
+_PAULI_STACK = np.frombuffer(np.array(  # over immutable bytes, as in _frozen
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=np.complex128).tobytes(), np.complex128).reshape(4, 2, 2)
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = _PAULI_STACK
 
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
-    """m as a finite square complex128 matrix that no caller can write; the one
-    ownership rule.  A read-only array that owns its data is taken as is, and
-    anything else is copied and the copy frozen."""
-    if not (type(m) is np.ndarray and m.dtype == np.complex128
-            and m.flags.owndata and not m.flags.writeable):
-        m = np.array(m, dtype=np.complex128)
-        m.setflags(write=False)
+    """m as a finite square complex128 matrix; the one admission rule.  It copies
+    only to convert and never freezes, and no public function writes m or returns it."""
+    m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     return m
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """An admitted copy of m, as a view of immutable bytes; the one storage rule.  numpy
+    will not make that view, or the array its ``base`` holds, writable again."""
+    m = _as_complex_matrix(m)
+    return np.frombuffer(m.tobytes(), np.complex128).reshape(m.shape)
 
 
 def _qubit_count(m: np.ndarray) -> int:
@@ -85,7 +88,7 @@ class DensityMatrix:
     num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
+        m = _frozen(self.matrix)
         object.__setattr__(self, "num_qubits", _qubit_count(m))
         if hermiticity_defect(m) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
@@ -208,7 +211,7 @@ def partial_transpose_matrix(m: np.ndarray, transposed: Iterable[int]) -> np.nda
     t = m.reshape([2] * (2 * num_qubits))
     for q in cut:
         t = np.swapaxes(t, q, q + num_qubits)
-    return np.ascontiguousarray(t.reshape(m.shape))
+    return np.array(t, order="C").reshape(m.shape)  # never a view of m, even at n = 1
 
 
 def partial_transpose(rho: DensityMatrix, transposed: Iterable[int]) -> np.ndarray:

@@ -311,7 +311,7 @@ def run_reproduce() -> ReproduceReport:
     report = ReproduceReport()
     for group, rows in _GROUPS:
         try:
-            outcomes = [(float(value), row[3]) for value, row in zip(group(), rows)]
+            outcomes = [(float(value), row[3]) for value, row in zip(group(), rows, strict=True)]
         except (ValueError, RuntimeError) as exc:
             outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(rows)
         for (name, comparison, bound, _), (value, note) in zip(rows, outcomes):

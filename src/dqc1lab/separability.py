@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqc1 import _check_polarization, rho3
-from .linalg import (_PAULI_STACK, DensityMatrix, _as_complex_matrix, _pauli_coefficients,
+from .linalg import (_PAULI_STACK, DensityMatrix, _frozen, _pauli_coefficients,
                      hermitian_eigenvalues, kron_all, partial_transpose)
 
 GHZ_RECONSTRUCTION_TOL = 1e-10
@@ -59,7 +59,7 @@ class NonGhzDiagonalError(ValueError):
 def pauli_string_matrix(factors: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by a string over IXYZ.
 
-    The 64 matrices are built once each and shared read-only.
+    The 64 matrices are built once each, and numpy will not make one writable.
     """
     if (not isinstance(factors, str) or len(factors) != 3
             or any(c not in "IXYZ" for c in factors)):
@@ -69,7 +69,7 @@ def pauli_string_matrix(factors: str) -> np.ndarray:
 
 @functools.cache
 def _pauli_string_matrix(factors: str) -> np.ndarray:
-    return _as_complex_matrix(kron_all(*[_PAULI_STACK["IXYZ".index(c)] for c in factors]))
+    return _frozen(kron_all(*[_PAULI_STACK["IXYZ".index(c)] for c in factors]))
 
 
 def ghz_reconstruct(lambdas: np.ndarray) -> np.ndarray:
@@ -161,7 +161,8 @@ def full_separability_verdict(alpha: float) -> SeparabilityVerdict:
     NptEntangled, with that eigenvalue as the witness.  Otherwise the
     certificate is the explicit convex split into the product-state
     mixture and the GHZ-diagonal part together with the
-    product-criterion verdict on the latter.
+    product-criterion verdict on the latter.  It is FullySeparable only
+    when that verdict is and the split misses the state by at most 1e-10.
     """
     return _verdict(rho3(alpha).state, alpha)
 
@@ -177,11 +178,9 @@ def _verdict(state: DensityMatrix, alpha: float) -> SeparabilityVerdict:
             {"witness_eigenvalue": witness, "reconstruction_residual": residual},
         )
     kay = kay_criterion(omega)
-    certificate = {
-        "weights": (w1, w2),
-        "reconstruction_residual": residual,
-        "ghz_part_verdict": kay,
-    }
-    if kay.status is not Verdict.FULLY_SEPARABLE:
-        return SeparabilityVerdict(Verdict.INCONCLUSIVE, certificate)
-    return SeparabilityVerdict(Verdict.FULLY_SEPARABLE, certificate)
+    certificate = {"weights": (w1, w2), "reconstruction_residual": residual,
+                   "ghz_part_verdict": kay}
+    # the split certifies only a state it reconstructs
+    certified = kay.status is Verdict.FULLY_SEPARABLE and residual <= GHZ_RECONSTRUCTION_TOL
+    return SeparabilityVerdict(
+        Verdict.FULLY_SEPARABLE if certified else Verdict.INCONCLUSIVE, certificate)

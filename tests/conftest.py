@@ -190,3 +190,44 @@ def oracle_entropy_grid(blocks: np.ndarray, thetas: np.ndarray, phis: np.ndarray
         w = np.where(w > 1e-12, w, 1.0)
         total[safe] += p[safe] * -(w * np.log2(w)).sum(axis=1)
     return total
+
+
+def _xlog2x(x):
+    return x * np.log2(np.where(x > 0, x, 1.0))
+
+
+def clean_qubit_objective(phases: np.ndarray, alpha: float, thetas, phis) -> np.ndarray:
+    """sum_k p_k S(rho_k) for the clean qubit of a DQC1 state measured along (theta, phi).
+
+    The state is (I + alpha (|0><1| U^H + |1><0| U)) / 2D with D = 2**n, so
+    the outcomes +- leave the register with eigenvalues
+    (1 +- alpha sin(theta) cos(lambda_j - phi)) / 2D, where e^{i lambda_j}
+    are the eigenvalues of U.  ``thetas`` and ``phis`` broadcast together.
+    """
+    c = alpha * np.sin(thetas)[..., None] * np.cos(phases - np.asarray(phis)[..., None])
+    total = 0.0
+    for sign in (1, -1):
+        ev = (1 + sign * c) / (2 * phases.size)
+        total = total - _xlog2x(ev).sum(axis=-1) + _xlog2x(ev.sum(axis=-1))
+    return total
+
+
+def clean_qubit_discord(u: np.ndarray, alpha: float) -> float:
+    """Discord of ``build_dqc1_state(u, alpha)`` measured on the clean qubit, from
+    U's eigenphases alone: S(clean) - S(rho) + min over phi of the objective at
+    theta = pi/2 (Datta, Shaji & Caves, PRL 100, 050502, 2008).  The clean
+    qubit has eigenvalues (1 +- alpha |tr U| / D) / 2 and the state
+    (1 +- alpha) / 2D, D times each.  phi is searched on a 20001-point grid,
+    then on six 21-point grids, each a tenth as wide around the best so far."""
+    phases = np.angle(np.linalg.eigvals(u))
+    dim = phases.size
+    r = alpha * abs(np.exp(1j * phases).sum()) / dim
+    s_clean = -_xlog2x(np.array([1 + r, 1 - r]) / 2).sum()
+    s_rho = -dim * _xlog2x(np.array([1 + alpha, 1 - alpha]) / (2 * dim)).sum()
+    phis = np.linspace(0.0, 2 * np.pi, 20001)
+    step = phis[1]
+    for _ in range(7):
+        values = clean_qubit_objective(phases, alpha, np.pi / 2, phis)
+        phis = phis[values.argmin()] + np.linspace(-step, step, 21)
+        step /= 10
+    return float(s_clean - s_rho + values.min())

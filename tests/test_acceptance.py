@@ -25,13 +25,18 @@ import time
 import numpy as np
 import pytest
 from conftest import (
+    GRID_ORDER,
+    clean_qubit_discord,
+    clean_qubit_objective,
     ensemble_state,
     oracle_partial_trace,
     oracle_partial_transpose,
     pauli_coefficients,
     pauli_product_ensemble,
+    oracle_entropy_grid,
     random_density_matrix,
     random_hermitian,
+    random_unitary,
 )
 
 import dqc1lab as d
@@ -335,6 +340,45 @@ def test_register_discord_is_rho3s_at_n_3():
                 assert abs(result.discord - expected) <= 1e-9, (
                     f"discord on qubit {q} at alpha={a}: {result.discord:.3e} "
                     f"vs {expected:.12f}")
+
+
+def test_clean_qubit_discord_matches_the_eigenphase_oracle():
+    # measured on the clean qubit, the discord of any DQC1 output is a
+    # function of alpha and U's eigenphases alone (ROADMAP item 20).  The
+    # optimizer's classical correlation is a lower bound, so its discord sits
+    # on or above the oracle's: by at most 7.3e-11 for these seeds, inside
+    # the 1e-10 acceptance threshold of its refinement (REFINE_TOL * 1e-3)
+    alphas = (0.1, 0.25, 0.5, 1.0)
+    with check("clean-qubit-spectral"):
+        for n in range(2, 6):
+            u = random_unitary(np.random.default_rng(0), 2**n)
+            results = d.discord([d.build_dqc1_state(u, a).state for a in alphas], 0)
+            for a, result in zip(alphas, results):
+                oracle = clean_qubit_discord(u, a)
+                assert -1e-12 <= result.discord - oracle <= 1e-10, (
+                    f"n={n}, alpha={a}: optimizer {result.discord:.15f} vs "
+                    f"eigenphase oracle {oracle:.15f}")
+                assert oracle > 1e-3
+        # the canonical U is Hermitian, so its phases are 0 and pi: zero discord
+        canonical = d.build_un(d.canonical_blocks(), 2)
+        for a in alphas:
+            assert abs(clean_qubit_discord(canonical, a)) <= 1e-12
+
+
+def test_clean_qubit_measurement_is_best_on_the_equator():
+    # the oracle searches theta = pi/2 only; on a 61 x 120 grid at n = 2 the
+    # eigenphase objective equals the brute-force one at every cell, and its
+    # smallest value lies on the equator, row 30
+    u = random_unitary(np.random.default_rng(0), 4)
+    phases = np.angle(np.linalg.eigvals(u))
+    thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, 61),
+                               np.linspace(0.0, 2 * np.pi, 120, endpoint=False), indexing="ij")
+    for a in (0.1, 0.25, 0.5, 1.0):
+        blocks = d.build_dqc1_state(u, a).state.matrix.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
+        brute = oracle_entropy_grid(blocks, thetas.ravel(), phis.ravel(), GRID_ORDER)
+        spectral = clean_qubit_objective(phases, a, thetas, phis)
+        assert np.abs(brute.reshape(thetas.shape) - spectral).max() <= 1e-12
+        assert spectral.min() < np.delete(spectral, 30, axis=0).min()
 
 
 def test_discrepancy_3_correlation_gram_rank():

@@ -51,6 +51,10 @@ DEFECTS = {
     "verdict-on-clean-cut-only": pytest.param(
         (separability, "SINGLE_QUBIT_CUTS", lambda cuts: cuts[:1]),
         {"ppt-region"}),
+    "eta-state-maximally-mixed": pytest.param(
+        # the split then misses the state, so it certifies nothing
+        (separability, "eta_state", lambda f: lambda: linalg.DensityMatrix(np.eye(8) / 8)),
+        {"convex-split-identity", "ghz-part-verdict"}),
     "partial-transpose-conjugated": pytest.param(
         (linalg, "partial_transpose", lambda f: lambda rho, cut: f(rho, cut).conj()),
         {"pt-involution"}),

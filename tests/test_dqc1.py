@@ -153,14 +153,16 @@ def test_rho3_entries():
     assert np.abs(d.rho3(0.0).state.matrix - np.eye(8) / 8).max() == 0
 
 
-def test_rho3_shares_one_read_only_canonical_unitary():
+def test_rho3_gives_each_state_its_own_read_only_canonical_unitary():
     fresh = d.build_un(d.canonical_blocks(), 2)
-    u = d.rho3(0.3).unitary
-    assert u is d.rho3(0.9).unitary
-    assert np.array_equal(u, fresh)
+    u, v = d.rho3(0.3).unitary, d.rho3(0.9).unitary
+    assert u is not v and not np.shares_memory(u, v)
+    assert np.array_equal(u, fresh) and np.array_equal(v, fresh)
     with pytest.raises(ValueError):
         u[0, 0] = 2.0
-    assert np.array_equal(u, fresh)
+    with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True of this array$"):
+        u.setflags(write=True)
+    assert np.array_equal(d.rho3(0.5).unitary, fresh)
 
 
 def test_rho3_rejects_bad_alpha():

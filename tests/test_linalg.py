@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from conftest import (
 )
 
 import dqc1lab as d
+from dqc1lab import linalg
 from dqc1lab.dqc1 import PAULI_X, PAULI_Z
+from dqc1lab.linalg import _pauli_coefficients
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -509,3 +513,42 @@ def test_pauli_constants_are_read_only():
     # a failed write leaves the shared constants intact for every later build
     u = d.build_un(d.canonical_blocks(), 3)
     assert np.array_equal(u @ u.conj().T, np.eye(8))
+
+
+# the functions that admit a matrix without storing it: each returns a fresh
+# array, never its input or a view of it, and leaves the input as it was
+TRANSIENT = {
+    "kron": lambda m: [d.kron(m, I2), d.kron(I2, m)],
+    "partial_transpose_matrix": lambda m: [d.partial_transpose_matrix(m, (0,))],
+    "hermitian_eigensystem": lambda m: list(d.hermitian_eigensystem(m)),
+    "hermitian_eigenvalues": lambda m: [d.hermitian_eigenvalues(m)],
+    "pauli_coefficients": lambda m: [_pauli_coefficients(m)],
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("call", TRANSIENT.values(), ids=TRANSIENT.keys())
+def test_transient_admission_neither_writes_nor_returns_its_input(call, size, order):
+    m = np.array(random_hermitian(np.random.default_rng(size), size), order=order)
+    before = m.copy()
+    for out in call(m):
+        assert not np.shares_memory(out, m)
+    assert np.array_equal(m, before) and m.flags.writeable
+
+
+def test_only_linalg_freezes_an_array():
+    # an array is frozen by building it over immutable bytes, at two sites, both
+    # in linalg: the Pauli stack and the storage rule, _frozen.  A setflags
+    # freeze would leave its owning array free to be made writable again
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(linalg.__file__).parent.glob("*.py"))}
+    sites = [(stem, getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0]),
+              ast.unparse(node.func))
+             for stem, source in sources.items() for top in ast.parse(source).body
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("frombuffer", "setflags")]
+    assert sites == [("linalg", "_PAULI_STACK", "np.frombuffer"),
+                     ("linalg", "_frozen", "np.frombuffer")]
+    assert not any("setflags(" in source for source in sources.values())

@@ -330,21 +330,54 @@ OWNERS = {
 }
 
 
-@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+# "frozen": a read-only array that owns its data, which its caller makes
+# writable again once the record is built
+@pytest.mark.parametrize("kind", ["array", "view", "frozen"])
 @pytest.mark.parametrize("value, stored", OWNERS.values(), ids=OWNERS.keys())
-def test_records_own_their_arrays(value, stored, view):
+def test_records_own_their_arrays(value, stored, kind):
     k = len(value)
     base = np.zeros((8, 8), dtype=np.complex128)
     base[:k, :k] = value
-    m = base[:k, :k] if view else base[:k, :k].copy()
+    m = base[:k, :k] if kind == "view" else base[:k, :k].copy()
+    m.setflags(write=kind != "frozen")
     arrays = stored(m)
-    assert m.flags.writeable and base.flags.writeable
+    assert m.flags.writeable == (kind != "frozen") and base.flags.writeable
+    m.setflags(write=True)
     for a in arrays:
         assert not a.flags.writeable and a is not m
+        assert not np.shares_memory(a, m) and not np.shares_memory(a, base)
     m[0, 0] = 5
     base[:] = 7
     for a in arrays:
         assert np.array_equal(a, value)
+
+
+# every array that a record or a cache hands out: numpy refuses to make one, or
+# any array it is a view of, writable again, so no caller can rewrite a
+# validated state or a shared cache
+HANDED_OUT = {
+    "rho3.unitary": lambda: d.rho3(0.5).unitary,
+    "rho3.state.matrix": lambda: d.rho3(0.5).state.matrix,
+    "canonical_blocks.a1": lambda: d.canonical_blocks().a1,
+    "AdversaryStrategy.unitaries": lambda: d.AdversaryStrategy.identity().unitaries[0],
+    "pauli_string_matrix": lambda: d.pauli_string_matrix("XXX"),
+    "eta_state.matrix": lambda: d.eta_state().matrix,
+    "PAULI_X": lambda: d.dqc1.PAULI_X,
+}
+
+
+@pytest.mark.parametrize("handed_out", HANDED_OUT.values(), ids=HANDED_OUT.keys())
+def test_no_handed_out_array_can_be_made_writable(handed_out):
+    a = handed_out()
+    chain = [a]
+    while isinstance(chain[-1].base, np.ndarray):
+        chain.append(chain[-1].base)
+    for x in chain:
+        with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True of this array$"):
+            x.setflags(write=True)
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 0.5
+    assert not a.flags.writeable
 
 
 def test_a_state_outlives_writes_to_its_callers_arrays():

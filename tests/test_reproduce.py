@@ -75,6 +75,27 @@ def test_a_raising_group_fails_only_its_own_checks(monkeypatch, normal_run, exc)
             assert c.computed.hex() == normal.computed.hex()
 
 
+@pytest.mark.parametrize("change, rows_are", [
+    (lambda values: values[:-1], "longer"),
+    (lambda values: (*values, 0.0), "shorter"),
+], ids=["one-value-too-few", "one-value-too-many"])
+def test_a_group_returning_the_wrong_count_fails_only_its_own_checks(
+        monkeypatch, normal_run, change, rows_are):
+    # the group's values pair with its rows strictly, so no check is dropped
+    groups = [(group, rows) if group is not reproduce._discord_group
+              else (lambda: change(tuple(reproduce._discord_group())), rows)
+              for group, rows in reproduce._GROUPS]
+    monkeypatch.setattr(reproduce, "_GROUPS", tuple(groups))
+    report = reproduce.run_reproduce()
+    assert [c.name for c in report.checks] == [c.name for c in normal_run.checks]
+    note = f"ValueError: zip() argument 2 is {rows_are} than argument 1"
+    for normal, c in zip(normal_run.checks, report.checks):
+        if c.name in DISCORD_CHECKS:
+            assert (c.computed, c.passed, c.note) == (None, False, note)
+        else:
+            assert c == normal
+
+
 def test_a_raising_group_prints_strict_json(monkeypatch):
     _raise_in_discord(monkeypatch, RuntimeError("clamp exceeded"))
     code, out = _run_cli(["reproduce", "--json"])
