@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dqc1 import _check_seed, rho3
-from .linalg import DensityMatrix, _frozen, _random_unitary, _unitary, trace_norm
+from .linalg import DensityMatrix, _frozen, _random_unitary, _rebuilt, _unitary, trace_norm
 
 #: At about 1.4 kB and 0.7 ms a strategy, a sweep at the cap takes 150 MB and 70 s.
 MAX_STRATEGIES = 100_000
@@ -29,6 +29,7 @@ class AdversaryStrategy:
 
     unitaries: tuple[np.ndarray, np.ndarray, np.ndarray]
     label: str = "explicit"
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         checked = []

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z  # re-exported as dqc1.PAULI_*
-from .linalg import DensityMatrix, _frozen, _unitary, kron_all
+from .linalg import DensityMatrix, _frozen, _rebuilt, _unitary, kron_all
 
 MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes
@@ -56,6 +56,7 @@ class UnitaryBlockSpec:
     b1: np.ndarray
     c1: np.ndarray
     d1: np.ndarray
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         for name in ("a1", "b1", "c1", "d1"):
@@ -78,21 +79,28 @@ def canonical_blocks() -> UnitaryBlockSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dqc1State:
-    """Joint output state of the circuit for one polarization value.
+    """Joint output state of the circuit for polarization ``alpha`` and register
+    unitary ``unitary``; the state has one qubit more than the register.
 
-    ``unitary`` acts on the register; the state has one qubit more.
-    ``alpha`` must lie in [0, 1]; the state and the unitary are taken as
-    given, since ``build_dqc1_state`` admits them, but the unitary is
-    stored under ``linalg``'s storage rule.
-    """
+    The one way in, which copies and pickles take too: it checks alpha, then the
+    unitary, stores the unitary by ``linalg``'s storage rule and builds the state."""
 
     alpha: float
-    state: DensityMatrix
+    state: DensityMatrix = field(init=False)
     unitary: np.ndarray
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
-        _check_polarization(self.alpha)
-        object.__setattr__(self, "unitary", _frozen(self.unitary))
+        _check_polarization(self.alpha)  # before the unitary's rules see a bad alpha
+        u = _frozen(_unitary(self.unitary, "register unitary"))
+        dim = u.shape[0]
+        rho = np.eye(2 * dim, dtype=np.complex128)
+        rho[:dim, dim:] = self.alpha * u.conj().T
+        rho[dim:, :dim] = self.alpha * u
+        rho /= 2 * dim
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "state", DensityMatrix(rho))
+        object.__setattr__(self, "unitary", u)
 
 
 @dataclass(frozen=True)
@@ -139,14 +147,7 @@ def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
 
     A u whose dimension is not 2**n fails the state's dimension rule.
     """
-    _check_polarization(alpha)  # before the state's own rules see a bad alpha
-    u = _unitary(u, "register unitary")
-    dim = u.shape[0]
-    rho = np.eye(2 * dim, dtype=np.complex128)
-    rho[:dim, dim:] = alpha * u.conj().T
-    rho[dim:, :dim] = alpha * u
-    rho /= 2 * dim
-    return Dqc1State(alpha=float(alpha), state=DensityMatrix(rho), unitary=u)
+    return Dqc1State(alpha, u)
 
 
 def rho3(alpha: float) -> Dqc1State:

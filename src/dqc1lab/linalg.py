@@ -8,7 +8,7 @@ leading bit of ``i``.  All entropies are in bits (base-2 logarithms).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -43,6 +43,11 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     will not make that view, or the array its ``base`` holds, writable again."""
     m = _as_complex_matrix(m)
     return np.frombuffer(m.tobytes(), np.complex128).reshape(m.shape)
+
+
+def _rebuilt(record) -> tuple:
+    """``__reduce__`` of each record that stores arrays: copies rebuild through its constructor."""
+    return type(record), tuple(getattr(record, f.name) for f in fields(record) if f.init)
 
 
 def _qubit_count(m: np.ndarray) -> int:
@@ -86,6 +91,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
     num_qubits: int = field(init=False)
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         m = _frozen(self.matrix)

@@ -302,43 +302,45 @@ def test_register_adds_only_classical_flags():
                     f"flagged rho3 misses the output at n={n}, alpha={a} by {residual:.3e}")
 
 
-def test_register_negativity_is_rho3s_at_the_induced_cut():
+@pytest.mark.parametrize("n", [3, 4])
+def test_register_negativity_is_rho3s_at_the_induced_cut(n):
     # the flags are orthogonal and classical, so across any bipartition the
-    # partial transpose of rho_3(a) is a flagged mixture of rho3(a)'s at the
+    # partial transpose of rho_n(a) is a flagged mixture of rho3(a)'s at the
     # cut induced on (clean, r1, r_last), with the same trace norm; the
     # oracle transposes rho3's matrix by index arithmetic
-    u = d.build_un(d.canonical_blocks(), 3)
-    induced = {0: 0, 1: 1, 3: 2}  # package qubit of rho_3 -> qubit of rho3
+    u = d.build_un(d.canonical_blocks(), n)
+    induced = {0: 0, 1: 1, n: 2}  # package qubit of rho_n -> qubit of rho3
     with check("register-flag-negativity"):
         for a in (0.1, 0.5, 0.75, 1.0):
             state = d.build_dqc1_state(u, a).state
             m = d.rho3(a).state.matrix
             values = []
-            for size in (1, 2, 3):
-                for cut in itertools.combinations(range(4), size):
+            for size in range(1, n + 1):
+                for cut in itertools.combinations(range(n + 1), size):
                     pt = oracle_partial_transpose(m, 3, [induced[q] for q in cut if q in induced])
                     oracle = np.abs(np.linalg.eigvalsh(pt)).sum()
                     values.append(d.multiplicative_negativity(state, cut))
                     assert abs(values[-1] - oracle) <= 1e-14, (
-                        f"cut {cut} at alpha={a}: {values[-1]:.17f} vs rho3's "
+                        f"cut {cut} at n={n}, alpha={a}: {values[-1]:.17f} vs rho3's "
                         f"{oracle:.17f}")
             assert abs(max(values) - max(1.0, (2 * a + 3) / 4)) <= 1e-14, a
 
 
-def test_register_discord_is_rho3s_at_n_3():
+@pytest.mark.parametrize("n", [3, 4])
+def test_register_discord_is_rho3s(n):
     # measured on r1 or r_last, the flagged copies of rho3 keep its register
-    # discord h(a)/4; the middle qubit carries only the flags, diagonal in its
-    # X basis, and the clean qubit stays classical, so both read 0
-    u = d.build_un(d.canonical_blocks(), 3)
+    # discord h(a)/4; the middle qubits carry only the flags, diagonal in
+    # their X basis, and the clean qubit stays classical, so they read 0
+    u = d.build_un(d.canonical_blocks(), n)
     alphas = (0.1, 0.5, 1.0)
     states = [d.build_dqc1_state(u, a).state for a in alphas]
     with check("register-flag-discord"):
-        for q in range(4):
+        for q in range(n + 1):
             for a, result in zip(alphas, d.discord(states, q)):
                 h = sum(x * np.log2(x) for x in (1 + a, 1 - a) if x > 0)
-                expected = h / 4 if q in (1, 3) else 0.0
+                expected = h / 4 if q in (1, n) else 0.0
                 assert abs(result.discord - expected) <= 1e-9, (
-                    f"discord on qubit {q} at alpha={a}: {result.discord:.3e} "
+                    f"discord on qubit {q} at n={n}, alpha={a}: {result.discord:.3e} "
                     f"vs {expected:.12f}")
 
 
@@ -359,10 +361,31 @@ def test_clean_qubit_discord_matches_the_eigenphase_oracle():
                     f"n={n}, alpha={a}: optimizer {result.discord:.15f} vs "
                     f"eigenphase oracle {oracle:.15f}")
                 assert oracle > 1e-3
-        # the canonical U is Hermitian, so its phases are 0 and pi: zero discord
+        # the canonical U is Hermitian, so its phases are 0 and pi: zero discord,
+        # and a global phase e^{i phi} only turns the measurement that finds it
         canonical = d.build_un(d.canonical_blocks(), 2)
         for a in alphas:
             assert abs(clean_qubit_discord(canonical, a)) <= 1e-12
+        for n in (2, 3):
+            cases = [(np.exp(1j * phi) * d.build_un(d.canonical_blocks(), n), a)
+                     for phi in (0.3, 1.1, 2.5) for a in (0.5, 1.0)]
+            results = d.discord([d.build_dqc1_state(u, a).state for u, a in cases], 0)
+            for (u, a), result in zip(cases, results, strict=True):
+                assert abs(clean_qubit_discord(u, a)) <= 1e-12, (n, a)
+                assert abs(result.discord) <= 1e-9, (n, a, result.discord)
+
+
+def test_clean_qubit_discord_grows_towards_the_large_register_value():
+    # at alpha = 1 a Haar U's clean-qubit discord climbs from 0.39 at n = 2
+    # towards 2 - 1/ln 2, the large-n value of Datta, Shaji & Caves (PRL 100,
+    # 050502, 2008); seed 0 reads 0.3907, 0.4772, 0.5230, 0.5320, 0.5421,
+    # 0.5557, 0.5540 at n = 2..8.  No source here bounds it from above
+    large_n = 2 - 1 / np.log(2)
+    for n in range(2, 9):
+        value = clean_qubit_discord(random_unitary(np.random.default_rng(0), 2**n), 1.0)
+        assert value > 0.38, (n, value)
+        if n >= 6:
+            assert abs(value - large_n) <= 0.02, (n, value)
 
 
 def test_clean_qubit_measurement_is_best_on_the_equator():

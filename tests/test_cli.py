@@ -81,18 +81,24 @@ def test_reproduce_fails_more_checks_on_a_defective_state(monkeypatch, capsys):
     spike[0, 0] = 1.0
 
     def defective(alpha):
-        # mixing toward a pure state keeps the defect admissible
+        # the constructor builds the state from (alpha, U), so the defect is set
+        # past it; mixing toward a pure state keeps the defect admissible
         s = real(alpha)
-        return dataclasses.replace(
-            s, state=DensityMatrix((1 - 1e-3) * s.state.matrix + 1e-3 * spike))
+        object.__setattr__(
+            s, "state", DensityMatrix((1 - 1e-3) * s.state.matrix + 1e-3 * spike))
+        return s
 
     monkeypatch.setattr(reproduce, "rho3", defective)
     code = main(["reproduce", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+    failed = [c for c in payload["checks"] if not c["passed"]]
     assert code == 1
-    assert {"pt-spectrum-family", "convex-split-identity"} <= failed
+    assert {"pt-spectrum-family", "convex-split-identity"} <= {c["name"] for c in failed}
     assert len(failed) > len(KNOWN_DISCREPANT_CHECKS)
+    # every failure is a measured value on the defective state, not a raised group
+    for c in failed:
+        assert isinstance(c["computed"], float), c
+        assert not re.match(r"\w+(Error|Exception): ", c["note"]), c
 
 
 # the grid index of the alpha whose verdict is altered: 25 (alpha = 0.25) lies

@@ -144,6 +144,43 @@ def test_build_dqc1_state_rejects_non_unitary():
         d.build_dqc1_state(np.ones((4, 4)), 0.5)
 
 
+def test_a_hand_built_state_admits_its_unitary():
+    # a 3 I register "unitary" used to give expectation_xy 1.5, which the
+    # sampler's clip on p(+1) hid behind a sampled 1.0
+    with pytest.raises(ValueError, match=r"^register unitary fails unitarity within 1e-12 "
+                                         r"\(defect 8\.00e\+00\)$"):
+        d.Dqc1State(0.5, 3 * np.eye(4))
+    with pytest.raises(TypeError):  # the state is built, never handed in
+        d.Dqc1State(0.5, d.rho3(0.9).state, np.eye(4))
+
+
+def test_a_replaced_alpha_rebuilds_the_state():
+    # replacing alpha used to keep the 0.5 state, whose <X> is 0.25, under 0.9
+    s = dataclasses.replace(d.rho3(0.5), alpha=0.9)
+    direct = np.trace(np.kron(PAULI_X, np.eye(4)) @ s.state.matrix).real
+    assert s.alpha == 0.9 and d.expectation_xy(s) == (0.45, 0.0)
+    assert abs(direct - 0.45) <= 1e-15
+    assert np.array_equal(s.state.matrix, d.rho3(0.9).state.matrix)
+
+
+def test_the_constructor_builds_the_bits_of_the_former_builder():
+    # the block build that build_dqc1_state ran before Dqc1State took it over
+    def former_build(u, alpha):
+        dim = u.shape[0]
+        rho = np.eye(2 * dim, dtype=np.complex128)
+        rho[:dim, dim:] = alpha * u.conj().T
+        rho[dim:, :dim] = alpha * u
+        rho /= 2 * dim
+        return rho
+
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4):
+        u = random_unitary(rng, 2**n)
+        for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
+            m = d.Dqc1State(alpha, u).state.matrix
+            assert m.tobytes() == former_build(u, alpha).tobytes(), (n, alpha)
+
+
 def test_rho3_entries():
     s = d.rho3(1.0)
     m = s.state.matrix
@@ -182,7 +219,7 @@ def test_rho3_matches_the_entrywise_coupling_pairs():
 ALPHA_ENTRY_POINTS = {
     "rho3": d.rho3,
     "build-dqc1-state": lambda a: d.build_dqc1_state(np.eye(4), a),
-    "dqc1-state": lambda a: d.Dqc1State(a, d.rho3(0.5).state, d.rho3(0.5).unitary),
+    "dqc1-state": lambda a: d.Dqc1State(a, d.rho3(0.5).unitary),
     "omega-state": d.omega_state,
     "full-separability-verdict": d.full_separability_verdict,
     "activation-sweep": lambda a: d.activation_sweep([0.5, a], strategies=2, seed=0),

@@ -6,7 +6,12 @@ Each example draws a seed and builds its states with the suite's seeded
 random-state helper, so a failure names the seed that reproduces it.
 """
 
+import copy
+import dataclasses
+import importlib
 import itertools
+import pickle
+import pkgutil
 import re
 import types
 
@@ -23,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqc1lab as d
-from dqc1lab.linalg import _pauli_coefficients
+from dqc1lab.linalg import _pauli_coefficients, _rebuilt
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -274,8 +279,7 @@ NON_FINITE_BOUNDARIES = {
     "activation_sweep": (lambda v: d.activation_sweep([v], 1, 0), ValueError, ALPHA_RULE),
     "sample_trace_estimate": (lambda v: d.sample_trace_estimate(d.rho3(0.5), v, 0),
                               TypeError, "'float' object cannot be interpreted as an integer"),
-    "Dqc1State": (lambda v: d.Dqc1State(v, d.rho3(0.5).state, d.rho3(0.5).unitary),
-                  ValueError, ALPHA_RULE),
+    "Dqc1State": (lambda v: d.Dqc1State(v, d.rho3(0.5).unitary), ValueError, ALPHA_RULE),
     "ghz_reconstruct": (lambda v: d.ghz_reconstruct([v] + [0.0] * 7),
                         ValueError, "coefficients have a non-finite entry"),
     "trace_norm": (lambda v: d.trace_norm(with_entry(v)), ValueError, MATRIX_RULE),
@@ -326,7 +330,7 @@ OWNERS = {
     "UnitaryBlockSpec": (np.eye(2), lambda m: list(vars(d.UnitaryBlockSpec(m, m, m, m)).values())),
     "AdversaryStrategy": (np.eye(2), lambda m: list(d.AdversaryStrategy((m, m, m)).unitaries)),
     "build_dqc1_state": (np.eye(4), lambda m: [d.build_dqc1_state(m, 0.5).unitary]),
-    "Dqc1State": (np.eye(4), lambda m: [d.Dqc1State(0.5, d.rho3(0.5).state, m).unitary]),
+    "Dqc1State": (np.eye(4), lambda m: [d.Dqc1State(0.5, m).unitary]),
 }
 
 
@@ -366,9 +370,8 @@ HANDED_OUT = {
 }
 
 
-@pytest.mark.parametrize("handed_out", HANDED_OUT.values(), ids=HANDED_OUT.keys())
-def test_no_handed_out_array_can_be_made_writable(handed_out):
-    a = handed_out()
+def assert_never_writable(a):
+    """a, and every array in its ``base`` chain, refuses to be made writable."""
     chain = [a]
     while isinstance(chain[-1].base, np.ndarray):
         chain.append(chain[-1].base)
@@ -378,6 +381,77 @@ def test_no_handed_out_array_can_be_made_writable(handed_out):
     with pytest.raises(ValueError, match="read-only"):
         a[0, 0] = 0.5
     assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("handed_out", HANDED_OUT.values(), ids=HANDED_OUT.keys())
+def test_no_handed_out_array_can_be_made_writable(handed_out):
+    assert_never_writable(handed_out())
+
+
+def array_records():
+    """Every dataclass defined in a dqc1lab module with a field annotated by np.ndarray."""
+    found = set()
+    for info in pkgutil.iter_modules(d.__path__):
+        module = importlib.import_module(f"dqc1lab.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__
+                    and any("np.ndarray" in str(f.type) for f in dataclasses.fields(obj))):
+                found.add(obj)
+    return found
+
+
+# one instance of each record that stores arrays
+ARRAY_RECORDS = {
+    d.DensityMatrix: lambda: random_density_matrix(np.random.default_rng(3), 2),
+    d.UnitaryBlockSpec: d.canonical_blocks,
+    d.Dqc1State: lambda: d.Dqc1State(0.3, random_unitary(np.random.default_rng(3), 4)),
+    d.AdversaryStrategy: lambda: d.AdversaryStrategy.random(3),
+}
+COPY_ROUTES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+}
+
+
+def test_every_array_record_rebuilds_through_its_constructor():
+    assert array_records() == set(ARRAY_RECORDS)
+    for record in ARRAY_RECORDS:
+        assert record.__reduce__ is _rebuilt, record.__name__
+
+
+def stored_values(record):
+    """(field path, value) of every field, descending into records and tuples."""
+    out = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if dataclasses.is_dataclass(value):
+            out += [(f"{f.name}.{k}", v) for k, v in stored_values(value)]
+        elif isinstance(value, tuple):
+            out += [(f"{f.name}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            out.append((f.name, value))
+    return out
+
+
+@pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=COPY_ROUTES.keys())
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(),
+                         ids=[r.__name__ for r in ARRAY_RECORDS])
+def test_a_copied_record_is_frozen_and_bitwise_equal(make, route):
+    original = make()
+    twin = route(original)
+    assert type(twin) is type(original) and twin is not original
+    pairs = list(zip(stored_values(original), stored_values(twin), strict=True))
+    assert any(isinstance(a, np.ndarray) for (_, a), _ in pairs)
+    for (name, a), (twin_name, b) in pairs:
+        assert name == twin_name
+        if isinstance(a, np.ndarray):
+            assert_never_writable(b)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
 
 
 def test_a_state_outlives_writes_to_its_callers_arrays():
