@@ -21,7 +21,6 @@ from .dqc1 import (
     RHO3_ENTANGLING_CUT,
     TraceEstimate,
     UnitaryBlockSpec,
-    build_dqc1_state,
     build_un,
     canonical_blocks,
     expectation_xy,
@@ -64,9 +63,8 @@ __all__ = [
     "DiscordResult", "Dqc1State", "GHZ_PAULI_STRINGS", "MeasurementBasis",
     "NonGhzDiagonalError", "RHO3_ENTANGLING_CUT", "ReproduceReport",
     "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
-    "activate", "activation_sweep", "build_dqc1_state",
-    "build_un", "canonical_blocks", "classical_correlation", "discord",
-    "eta_state",
+    "activate", "activation_sweep", "build_un", "canonical_blocks",
+    "classical_correlation", "discord", "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",
     "ghz_reconstruct", "hermitian_eigensystem", "hermitian_eigenvalues",
     "kay_criterion", "kron", "kron_all", "maximally_mixed",

@@ -12,17 +12,13 @@ import gc
 import json
 import os
 import sys
+import types
 from typing import Optional
 
 import numpy as np
 
 from .activation import activation_sweep
-from .dqc1 import (
-    build_dqc1_state,
-    build_un,
-    canonical_blocks,
-    sample_trace_estimate,
-)
+from .dqc1 import Dqc1State, build_un, canonical_blocks, sample_trace_estimate
 from .reproduce import CLOSED_FORM_TOL, QUANTITIES, run_reproduce
 from .separability import Verdict, full_separability_verdict
 
@@ -104,7 +100,7 @@ def cmd_trace_estimate(args: argparse.Namespace) -> int:
     if 0 < args.alpha < sys.float_info.min:
         raise ValueError(f"alpha must be 0 or at least {sys.float_info.min!r} to "
                          f"estimate the trace, got {args.alpha!r}")
-    state = build_dqc1_state(build_un(canonical_blocks(), args.n), args.alpha)
+    state = Dqc1State(args.alpha, build_un(canonical_blocks(), args.n))
     est = sample_trace_estimate(state, args.shots, args.seed)
     exact_x, exact_y = est.exact_re, est.exact_im
     estimable = args.alpha > 0
@@ -141,9 +137,9 @@ def cmd_trace_estimate(args: argparse.Namespace) -> int:
 
 
 def _json_default(obj):
-    """Encode what ``json`` cannot: arrays, verdicts and certificate dataclasses."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """Encode what ``json`` cannot: verdicts, certificates and certificate dataclasses."""
+    if isinstance(obj, types.MappingProxyType):
+        return dict(obj)
     if isinstance(obj, Verdict):
         return obj.value
     if dataclasses.is_dataclass(obj):

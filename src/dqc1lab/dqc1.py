@@ -142,14 +142,6 @@ def build_un(spec: UnitaryBlockSpec, n: int) -> np.ndarray:
     ]), "assembled matrix")
 
 
-def build_dqc1_state(u: np.ndarray, alpha: float) -> Dqc1State:
-    """Joint (n+1)-qubit output state for register unitary u and polarization alpha.
-
-    A u whose dimension is not 2**n fails the state's dimension rule.
-    """
-    return Dqc1State(alpha, u)
-
-
 def rho3(alpha: float) -> Dqc1State:
     """Three-qubit output state for the canonical blocks.
 
@@ -157,7 +149,7 @@ def rho3(alpha: float) -> Dqc1State:
     at the four coupling pairs (|000>,|111>), (|001>,|101>), (|010>,|110>),
     (|011>,|100>) and their conjugates.
     """
-    return build_dqc1_state(_canonical_u2(), alpha)
+    return Dqc1State(alpha, _canonical_u2())
 
 
 @functools.cache

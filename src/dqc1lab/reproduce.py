@@ -21,7 +21,7 @@ from .activation import AdversaryStrategy, activate, activation_sweep
 from .correlations import classical_correlation, discord, multiplicative_negativity
 from .dqc1 import (
     RHO3_ENTANGLING_CUT,
-    build_dqc1_state,
+    Dqc1State,
     build_un,
     canonical_blocks,
     expectation_xy,
@@ -197,13 +197,13 @@ def _trace_estimator_group():
     for n in (2, 3, 4):
         u = build_un(canonical_blocks(), n)
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-            s = build_dqc1_state(u, a)
+            s = Dqc1State(a, u)
             ex, ey = expectation_xy(s)
             # tr[(X x I) rho] and tr[(Y x I) rho]: clean-qubit X and Y, register all I
             bx, by = _pauli_coefficients(s.state.matrix).reshape(4, -1)[1:3, 0]
             dev = max(dev, abs(ex - bx), abs(ey - by))
     worst_z = 0.0
-    s = build_dqc1_state(build_un(canonical_blocks(), 2), 1.0)
+    s = Dqc1State(1.0, build_un(canonical_blocks(), 2))
     for seed in SAMPLING_SEEDS:
         est = sample_trace_estimate(s, SAMPLING_SHOTS, seed)
         se = max(est.std_error, 1e-12)

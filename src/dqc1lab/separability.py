@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,17 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SeparabilityVerdict:
-    """Certified separability status with the evidence that produced it."""
+    """Certified separability status with the evidence that produced it, kept
+    read-only: copies and pickles rebuild through the constructor."""
 
     status: Verdict
-    certificate: dict
+    certificate: types.MappingProxyType
+
+    def __post_init__(self):
+        object.__setattr__(self, "certificate", types.MappingProxyType(dict(self.certificate)))
+
+    def __reduce__(self):
+        return type(self), (self.status, dict(self.certificate))
 
 
 class NonGhzDiagonalError(ValueError):
@@ -121,7 +129,7 @@ def kay_criterion(rho: DensityMatrix) -> SeparabilityVerdict:
     product = float(np.prod(lams[4:8]))
     min_pt_eig = _min_pt_eigenvalue(rho)
     certificate = {
-        "lambdas": lams,
+        "lambdas": tuple(lams.tolist()),
         "odd_weight_product": product,
         "min_pt_eigenvalue": min_pt_eig,
     }

@@ -213,7 +213,7 @@ def clean_qubit_objective(phases: np.ndarray, alpha: float, thetas, phis) -> np.
 
 
 def clean_qubit_discord(u: np.ndarray, alpha: float) -> float:
-    """Discord of ``build_dqc1_state(u, alpha)`` measured on the clean qubit, from
+    """Discord of ``Dqc1State(alpha, u)`` measured on the clean qubit, from
     U's eigenphases alone: S(clean) - S(rho) + min over phi of the objective at
     theta = pi/2 (Datta, Shaji & Caves, PRL 100, 050502, 2008).  The clean
     qubit has eigenvalues (1 +- alpha |tr U| / D) / 2 and the state

@@ -255,7 +255,7 @@ def test_separable_iff_alpha_at_most_half_at_every_register_size():
                                  "Y" + "X" * (n - 2) + "Y": -0.5,
                                  "Z" + "I" * (n - 2) + "Z": -0.5}
             for a in ALPHA_GRID:
-                rho = d.build_dqc1_state(u, a).state.matrix
+                rho = d.Dqc1State(a, u).state.matrix
                 if a <= 0.5:
                     ensemble = pauli_product_ensemble(
                         {"X" + q: a * c.real for q, c in expansion.items()})
@@ -297,7 +297,7 @@ def test_register_adds_only_classical_flags():
                     term = np.kron(np.outer(ket, ket) / 2**m, flagged[sum(x) % 2])
                     mixture += term.reshape((2,) * (2 * n + 2)).transpose(order).reshape(
                         mixture.shape)
-                residual = np.abs(mixture - d.build_dqc1_state(u, a).state.matrix).max()
+                residual = np.abs(mixture - d.Dqc1State(a, u).state.matrix).max()
                 assert residual <= 1e-15, (
                     f"flagged rho3 misses the output at n={n}, alpha={a} by {residual:.3e}")
 
@@ -312,7 +312,7 @@ def test_register_negativity_is_rho3s_at_the_induced_cut(n):
     induced = {0: 0, 1: 1, n: 2}  # package qubit of rho_n -> qubit of rho3
     with check("register-flag-negativity"):
         for a in (0.1, 0.5, 0.75, 1.0):
-            state = d.build_dqc1_state(u, a).state
+            state = d.Dqc1State(a, u).state
             m = d.rho3(a).state.matrix
             values = []
             for size in range(1, n + 1):
@@ -333,7 +333,7 @@ def test_register_discord_is_rho3s(n):
     # their X basis, and the clean qubit stays classical, so they read 0
     u = d.build_un(d.canonical_blocks(), n)
     alphas = (0.1, 0.5, 1.0)
-    states = [d.build_dqc1_state(u, a).state for a in alphas]
+    states = [d.Dqc1State(a, u).state for a in alphas]
     with check("register-flag-discord"):
         for q in range(n + 1):
             for a, result in zip(alphas, d.discord(states, q)):
@@ -354,7 +354,7 @@ def test_clean_qubit_discord_matches_the_eigenphase_oracle():
     with check("clean-qubit-spectral"):
         for n in range(2, 6):
             u = random_unitary(np.random.default_rng(0), 2**n)
-            results = d.discord([d.build_dqc1_state(u, a).state for a in alphas], 0)
+            results = d.discord([d.Dqc1State(a, u).state for a in alphas], 0)
             for a, result in zip(alphas, results):
                 oracle = clean_qubit_discord(u, a)
                 assert -1e-12 <= result.discord - oracle <= 1e-10, (
@@ -369,7 +369,7 @@ def test_clean_qubit_discord_matches_the_eigenphase_oracle():
         for n in (2, 3):
             cases = [(np.exp(1j * phi) * d.build_un(d.canonical_blocks(), n), a)
                      for phi in (0.3, 1.1, 2.5) for a in (0.5, 1.0)]
-            results = d.discord([d.build_dqc1_state(u, a).state for u, a in cases], 0)
+            results = d.discord([d.Dqc1State(a, u).state for u, a in cases], 0)
             for (u, a), result in zip(cases, results, strict=True):
                 assert abs(clean_qubit_discord(u, a)) <= 1e-12, (n, a)
                 assert abs(result.discord) <= 1e-9, (n, a, result.discord)
@@ -397,7 +397,7 @@ def test_clean_qubit_measurement_is_best_on_the_equator():
     thetas, phis = np.meshgrid(np.linspace(0.0, np.pi, 61),
                                np.linspace(0.0, 2 * np.pi, 120, endpoint=False), indexing="ij")
     for a in (0.1, 0.25, 0.5, 1.0):
-        blocks = d.build_dqc1_state(u, a).state.matrix.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
+        blocks = d.Dqc1State(a, u).state.matrix.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
         brute = oracle_entropy_grid(blocks, thetas.ravel(), phis.ravel(), GRID_ORDER)
         spectral = clean_qubit_objective(phases, a, thetas, phis)
         assert np.abs(brute.reshape(thetas.shape) - spectral).max() <= 1e-12
@@ -439,13 +439,13 @@ def test_criterion_8_trace_estimation():
             u = d.build_un(d.canonical_blocks(), n)
             eye = np.eye(2**n)
             for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-                s = d.build_dqc1_state(u, a)
+                s = d.Dqc1State(a, u)
                 x, y = d.expectation_xy(s)
                 bx = np.trace(np.kron(d.dqc1.PAULI_X, eye) @ s.state.matrix).real
                 by = np.trace(np.kron(d.dqc1.PAULI_Y, eye) @ s.state.matrix).real
                 assert abs(x - bx) <= 1e-12
                 assert abs(y - by) <= 1e-12
-        s = d.build_dqc1_state(d.build_un(d.canonical_blocks(), 2), 1.0)
+        s = d.Dqc1State(1.0, d.build_un(d.canonical_blocks(), 2))
         for seed in (1, 2, 3, 4, 5):
             est = d.sample_trace_estimate(s, 100_000, seed)
             assert abs(est.sampled_re - est.exact_re) <= 6 * est.std_error

@@ -125,7 +125,7 @@ def test_reproduce_checks_the_separability_verdict(monkeypatch, index, status, b
             return verdict
         if status is verdict.status:
             kay = verdict.certificate["ghz_part_verdict"]
-            lambdas = kay.certificate["lambdas"].copy()
+            lambdas = list(kay.certificate["lambdas"])
             lambdas[5] += 1e-6
             kay = dataclasses.replace(kay, certificate={**kay.certificate, "lambdas": lambdas})
             return dataclasses.replace(

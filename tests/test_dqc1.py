@@ -100,13 +100,13 @@ def test_random_block_specs_build_valid_states():
         for n in (2, 3, 4):
             u = d.build_un(spec, n)
             for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-                s = d.build_dqc1_state(u, alpha)
+                s = d.Dqc1State(alpha, u)
                 assert s.state.num_qubits == n + 1  # admission checks ran
 
 
 def test_dqc1_state_block_structure():
     u = d.build_un(d.canonical_blocks(), 3)
-    s = d.build_dqc1_state(u, 0.7)
+    s = d.Dqc1State(0.7, u)
     m = s.state.matrix
     dim = 8
     norm = 2 ** s.state.num_qubits
@@ -117,7 +117,7 @@ def test_dqc1_state_block_structure():
 
 def test_dqc1_state_at_zero_polarization_is_maximally_mixed():
     u = d.build_un(d.canonical_blocks(), 2)
-    s = d.build_dqc1_state(u, 0.0)
+    s = d.Dqc1State(0.0, u)
     assert np.abs(s.state.matrix - np.eye(8) / 8).max() == 0
 
 
@@ -126,22 +126,10 @@ def test_dqc1_state_spectrum_at_full_polarization():
     # are (1 +- 1)/2^{n+1}, each 2^n-fold
     for n in (2, 3):
         u = d.build_un(d.canonical_blocks(), n)
-        s = d.build_dqc1_state(u, 1.0)
+        s = d.Dqc1State(1.0, u)
         w = np.sort(d.hermitian_eigenvalues(s.state.matrix))
         expected = np.sort([0.0] * 2**n + [1 / 2**n] * 2**n)
         assert np.allclose(w, expected, atol=1e-12)
-
-
-def test_build_dqc1_state_rejects_bad_alpha():
-    u = d.build_un(d.canonical_blocks(), 2)
-    for alpha in (-0.1, 1.1):
-        with pytest.raises(ValueError, match="alpha"):
-            d.build_dqc1_state(u, alpha)
-
-
-def test_build_dqc1_state_rejects_non_unitary():
-    with pytest.raises(ValueError, match=r"^register unitary fails unitarity within 1e-12 "):
-        d.build_dqc1_state(np.ones((4, 4)), 0.5)
 
 
 def test_a_hand_built_state_admits_its_unitary():
@@ -164,7 +152,7 @@ def test_a_replaced_alpha_rebuilds_the_state():
 
 
 def test_the_constructor_builds_the_bits_of_the_former_builder():
-    # the block build that build_dqc1_state ran before Dqc1State took it over
+    # the block build of the former builder function, which Dqc1State now runs
     def former_build(u, alpha):
         dim = u.shape[0]
         rho = np.eye(2 * dim, dtype=np.complex128)
@@ -218,7 +206,6 @@ def test_rho3_matches_the_entrywise_coupling_pairs():
 # every entry point that takes a polarization, each rejecting it before any work
 ALPHA_ENTRY_POINTS = {
     "rho3": d.rho3,
-    "build-dqc1-state": lambda a: d.build_dqc1_state(np.eye(4), a),
     "dqc1-state": lambda a: d.Dqc1State(a, d.rho3(0.5).unitary),
     "omega-state": d.omega_state,
     "full-separability-verdict": d.full_separability_verdict,
@@ -251,9 +238,9 @@ UNITARITY_SITES = {
     "build-un-n3": build_un_site(3),
     "build-un-n4": build_un_site(4),
     "build-un-n5": build_un_site(5),
-    "dqc1-state": ("register unitary", lambda eps: d.build_dqc1_state(
-        (1 + eps) * d.build_un(d.canonical_blocks(), 2), 0.5),
-        lambda: d.build_dqc1_state(np.ones((4, 4)), 0.5)),
+    "dqc1-state": ("register unitary", lambda eps: d.Dqc1State(
+        0.5, (1 + eps) * d.build_un(d.canonical_blocks(), 2)),
+        lambda: d.Dqc1State(0.5, np.ones((4, 4)))),
     "adversary": ("strategy unitary", lambda eps: d.AdversaryStrategy((
         (1 + eps) * np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2), np.eye(2))),
         lambda: d.AdversaryStrategy((np.eye(2), np.ones((2, 2)), np.eye(2)))),
@@ -271,7 +258,7 @@ def test_every_unitarity_site_shares_one_tolerance(name, admit, gross):
 
 
 def test_expectation_xy_zero_polarization():
-    s = d.build_dqc1_state(d.build_un(d.canonical_blocks(), 2), 0.0)
+    s = d.Dqc1State(0.0, d.build_un(d.canonical_blocks(), 2))
     assert d.expectation_xy(s) == (0.0, 0.0)
 
 
@@ -284,7 +271,7 @@ def test_expectation_xy_canonical_u2():
 
 def test_expectation_y_vanishes_for_real_diagonal_unitary():
     u = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-    s = d.build_dqc1_state(u, 0.8)
+    s = d.Dqc1State(0.8, u)
     assert d.expectation_xy(s)[1] == 0.0
 
 
@@ -293,7 +280,7 @@ def test_expectation_xy_matches_operator_average(n):
     u = d.build_un(d.canonical_blocks(), n)
     eye = np.eye(2**n)
     for alpha in (0.0, 0.25, 0.5, 1.0):
-        s = d.build_dqc1_state(u, alpha)
+        s = d.Dqc1State(alpha, u)
         x, y = d.expectation_xy(s)
         bx = np.trace(np.kron(PAULI_X, eye) @ s.state.matrix)
         by = np.trace(np.kron(PAULI_Y, eye) @ s.state.matrix)
@@ -369,7 +356,7 @@ def test_sampling_memory_does_not_grow_with_shots():
 def test_sampling_clamps_the_outcome_probability():
     # a unitary admitted at the 1e-12 tolerance can put the exact X
     # expectation just above 1; every X outcome is then +1
-    s = d.build_dqc1_state((1 + 4e-13) * np.eye(4), 1.0)
+    s = d.Dqc1State(1.0, (1 + 4e-13) * np.eye(4))
     assert d.expectation_xy(s)[0] > 1.0
     est = d.sample_trace_estimate(s, 1000, seed=5)
     assert est.sampled_re == 1.0

@@ -176,7 +176,7 @@ def test_register_marginal_stays_maximally_mixed():
     for n in (2, 3):
         u = d.build_un(d.canonical_blocks(), n)
         for alpha in (0.0, 0.5, 1.0):
-            s = d.build_dqc1_state(u, alpha)
+            s = d.Dqc1State(alpha, u)
             reduced = d.partial_trace(s.state, tuple(range(1, n + 1)))
             assert np.abs(reduced.matrix - np.eye(2**n) / 2**n).max() < 1e-14
 
@@ -260,7 +260,7 @@ def test_float_qubit_index_is_rejected(call):
 
 # a count that is not an integer must not be used as one; numpy integers pass
 @pytest.mark.parametrize("call, bad, good", [
-    (lambda k: d.sample_trace_estimate(d.build_dqc1_state(np.eye(4), 1.0), k, 1),
+    (lambda k: d.sample_trace_estimate(d.Dqc1State(1.0, np.eye(4)), k, 1),
      1000.7, np.int64(1000)),
     (lambda k: d.activation_sweep([0.5], k, 0), 2.5, np.int64(2)),
 ], ids=["shots", "strategies"])
@@ -385,7 +385,7 @@ BAD_DIMENSIONS = {
     "density-matrix-1x1": lambda: d.DensityMatrix(np.eye(1)),
     "density-matrix-6x6": lambda: d.DensityMatrix(np.eye(6) / 6),
     "partial-transpose-6x6": lambda: d.partial_transpose_matrix(np.eye(6), (0,)),
-    "dqc1-state-3x3-unitary": lambda: d.build_dqc1_state(np.eye(3), 0.5),
+    "dqc1-state-3x3-unitary": lambda: d.Dqc1State(0.5, np.eye(3)),
 }
 
 
@@ -422,7 +422,7 @@ def nan_coupling(m):
 NON_FINITE_INPUTS = {
     "density-matrix": (lambda: d.DensityMatrix(nan_coupling(np.eye(4) / 4)),
                        "non-finite"),
-    "dqc1-unitary": (lambda: d.build_dqc1_state(nan_coupling(np.eye(4)), 0.5),
+    "dqc1-unitary": (lambda: d.Dqc1State(0.5, nan_coupling(np.eye(4))),
                      "non-finite"),
     # b1 only: every block is admitted, not just the first
     "block-spec": (lambda: dataclasses.replace(

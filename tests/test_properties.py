@@ -163,7 +163,7 @@ def test_generic_unitaries_are_certified_separable_only_below_half(n):
         u = random_unitary(np.random.default_rng(seed), 2**n)
         a_star = 1 / sum(abs(c.real) + abs(c.imag) for c in pauli_coefficients(u).values())
         assert a_star < 0.5, (seed, a_star)
-        rho = d.build_dqc1_state(u, a_star).state.matrix
+        rho = d.Dqc1State(a_star, u).state.matrix
         terms = {p: len(rho) * c.real for p, c in pauli_coefficients(rho).items()
                  if p != "I" * (n + 1)}
         assert abs(sum(abs(r) for r in terms.values()) - 1) <= 1e-12, seed
@@ -272,7 +272,6 @@ NON_FINITE_BOUNDARIES = {
                                ValueError, "theta must lie in [0, pi]"),
     "MeasurementBasis-phi": (lambda v: d.MeasurementBasis(0.0, v),
                              ValueError, "phi must lie in [0, 2*pi)"),
-    "build_dqc1_state": (lambda v: d.build_dqc1_state(np.eye(4), v), ValueError, ALPHA_RULE),
     "rho3": (d.rho3, ValueError, ALPHA_RULE),
     "omega_state": (d.omega_state, ValueError, ALPHA_RULE),
     "full_separability_verdict": (d.full_separability_verdict, ValueError, ALPHA_RULE),
@@ -329,7 +328,6 @@ OWNERS = {
     "DensityMatrix": (np.eye(4) / 4, lambda m: [d.DensityMatrix(m).matrix]),
     "UnitaryBlockSpec": (np.eye(2), lambda m: list(vars(d.UnitaryBlockSpec(m, m, m, m)).values())),
     "AdversaryStrategy": (np.eye(2), lambda m: list(d.AdversaryStrategy((m, m, m)).unitaries)),
-    "build_dqc1_state": (np.eye(4), lambda m: [d.build_dqc1_state(m, 0.5).unitary]),
     "Dqc1State": (np.eye(4), lambda m: [d.Dqc1State(0.5, m).unitary]),
 }
 
@@ -389,14 +387,16 @@ def test_no_handed_out_array_can_be_made_writable(handed_out):
 
 
 def array_records():
-    """Every dataclass defined in a dqc1lab module with a field annotated by np.ndarray."""
+    """Every dataclass defined in a dqc1lab module with a field annotated by
+    np.ndarray or by a mapping: the records a copy could unfreeze."""
     found = set()
     for info in pkgutil.iter_modules(d.__path__):
         module = importlib.import_module(f"dqc1lab.{info.name}")
         for obj in vars(module).values():
             if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
                     and obj.__module__ == module.__name__
-                    and any("np.ndarray" in str(f.type) for f in dataclasses.fields(obj))):
+                    and any(kind in str(f.type) for f in dataclasses.fields(obj)
+                            for kind in ("np.ndarray", "Mapping", "dict"))):
                 found.add(obj)
     return found
 
@@ -416,7 +416,9 @@ COPY_ROUTES = {
 
 
 def test_every_array_record_rebuilds_through_its_constructor():
-    assert array_records() == set(ARRAY_RECORDS)
+    assert array_records() == set(ARRAY_RECORDS) | {d.SeparabilityVerdict}
+    for record in array_records():
+        assert "__reduce__" in vars(record), record.__name__
     for record in ARRAY_RECORDS:
         assert record.__reduce__ is _rebuilt, record.__name__
 
@@ -454,12 +456,39 @@ def test_a_copied_record_is_frozen_and_bitwise_equal(make, route):
             assert a == b, name
 
 
+def verdicts(verdict):
+    """A verdict and every verdict nested in its certificate."""
+    nested = [v for v in verdict.certificate.values() if isinstance(v, d.SeparabilityVerdict)]
+    return [verdict] + [w for v in nested for w in verdicts(v)]
+
+
+@pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=COPY_ROUTES.keys())
+@pytest.mark.parametrize("alpha", [0.25, 0.9])
+def test_a_copied_verdict_keeps_a_read_only_certificate(alpha, route):
+    original = d.full_separability_verdict(alpha)
+    twin = route(original)
+    assert type(twin) is type(original) and twin is not original
+    pairs = list(zip(verdicts(original), verdicts(twin), strict=True))
+    assert len(pairs) == (2 if alpha <= 0.5 else 1)  # the Kay verdict nests where PPT
+    for a, b in pairs:
+        assert type(b.certificate) is types.MappingProxyType
+        assert a.status is b.status and list(a.certificate) == list(b.certificate)
+        for key, value in a.certificate.items():
+            if not isinstance(value, d.SeparabilityVerdict):
+                assert b.certificate[key] == value, key
+        with pytest.raises(TypeError):
+            b.certificate["reconstruction_residual"] = 0.5
+        if "lambdas" in b.certificate:
+            with pytest.raises(TypeError):
+                b.certificate["lambdas"][3] = -9
+
+
 def test_a_state_outlives_writes_to_its_callers_arrays():
     big = np.zeros((8, 8), dtype=np.complex128)
     big[:4, :4] = np.eye(4) / 4
     state = d.DensityMatrix(big[:4, :4])
     u = np.eye(4, dtype=np.complex128)
-    output = d.build_dqc1_state(u, 0.5)
+    output = d.Dqc1State(0.5, u)
     big[0, 0] = 5
     u[0, 0] = -1
     assert np.trace(state.matrix) == 1

@@ -320,6 +320,59 @@ def test_full_separability_certificate_contents():
     assert w1 + w2 == pytest.approx(1.0)
 
 
+def test_a_verdict_cannot_be_rewritten():
+    # both writes used to succeed, leaving FullySeparable verdicts that cited
+    # lambda = -9 and a residual far above GHZ_RECONSTRUCTION_TOL
+    verdict = d.full_separability_verdict(0.25)
+    kay = verdict.certificate["ghz_part_verdict"]
+    with pytest.raises(TypeError):
+        kay.certificate["lambdas"][3] = -9
+    with pytest.raises(TypeError):
+        verdict.certificate["reconstruction_residual"] = 0.5
+    assert kay.certificate["lambdas"][3] == pytest.approx(1 / 7, abs=1e-15)
+    assert verdict.certificate["reconstruction_residual"] <= d.separability.GHZ_RECONSTRUCTION_TOL
+
+
+def kay_inconclusive_state():
+    eps = 0.05
+    return d.DensityMatrix(d.ghz_reconstruct([1.0, 0, 0, 0, eps, eps, eps, eps]))
+
+
+# every status each verdict producer returns
+VERDICT_CASES = {
+    "full-fully-separable": (lambda: d.full_separability_verdict(0.25),
+                             d.Verdict.FULLY_SEPARABLE),
+    "full-inconclusive": (lambda: d.full_separability_verdict(0.5 + 3.5e-10),
+                          d.Verdict.INCONCLUSIVE),
+    "full-npt-entangled": (lambda: d.full_separability_verdict(0.9), d.Verdict.NPT_ENTANGLED),
+    "kay-fully-separable": (lambda: d.kay_criterion(d.omega_state(0.25)),
+                            d.Verdict.FULLY_SEPARABLE),
+    "kay-inconclusive": (lambda: d.kay_criterion(kay_inconclusive_state()),
+                         d.Verdict.INCONCLUSIVE),
+    "kay-npt-entangled": (lambda: d.kay_criterion(d.omega_state(0.6)), d.Verdict.NPT_ENTANGLED),
+}
+
+
+def assert_read_only(verdict):
+    cert = verdict.certificate
+    with pytest.raises(TypeError):
+        cert["reconstruction_residual"] = 0.5
+    for key, value in cert.items():
+        with pytest.raises(TypeError):
+            del cert[key]
+        if isinstance(value, d.SeparabilityVerdict):
+            assert_read_only(value)
+        else:
+            hash(value)  # a list or array value could be rewritten in place
+
+
+@pytest.mark.parametrize("make, status", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+def test_every_verdict_certificate_holds_only_read_only_values(make, status):
+    verdict = make()
+    assert verdict.status is status
+    assert_read_only(verdict)
+
+
 def test_witness_eigenvalue_matches_pt_spectrum():
     for a in (0.6, 0.75, 1.0):
         verdict = d.full_separability_verdict(a)

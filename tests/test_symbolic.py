@@ -164,7 +164,7 @@ def test_symbolic_states_are_the_package_states():
     u3 = d.build_un(d.canonical_blocks(), 3)
     for alpha in (0.0, 0.3, 1.0):
         assert np.array_equal(rho(alpha), d.rho3(alpha).state.matrix)
-        assert np.array_equal(rho_n3(alpha), d.build_dqc1_state(u3, alpha).state.matrix)
+        assert np.array_equal(rho_n3(alpha), d.Dqc1State(alpha, u3).state.matrix)
         assert np.abs(omega(alpha) - d.omega_state(alpha).matrix).max() <= 1e-16
     eta = np.array(eta_symbolic().evalf(), dtype=complex)
     assert np.abs(eta - d.eta_state().matrix).max() <= 1e-16
