@@ -41,7 +41,7 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .reproduce import Check, ReproduceReport, run_reproduce
+from .reproduce import Check, run_reproduce
 from .separability import (
     GHZ_PAULI_STRINGS,
     NonGhzDiagonalError,
@@ -61,8 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivationResult", "AdversaryStrategy", "Check", "DensityMatrix",
     "DiscordResult", "Dqc1State", "GHZ_PAULI_STRINGS", "MeasurementBasis",
-    "NonGhzDiagonalError", "RHO3_ENTANGLING_CUT", "ReproduceReport",
-    "SeparabilityVerdict", "TraceEstimate", "UnitaryBlockSpec", "Verdict",
+    "NonGhzDiagonalError", "RHO3_ENTANGLING_CUT", "SeparabilityVerdict",
+    "TraceEstimate", "UnitaryBlockSpec", "Verdict",
     "activate", "activation_sweep", "build_un", "canonical_blocks",
     "classical_correlation", "discord", "eta_state",
     "expectation_xy", "full_separability_verdict", "ghz_diagonal_coefficients",

@@ -30,26 +30,27 @@ def _fmt(x: float) -> str:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    report = run_reproduce()
+    checks = run_reproduce()
+    all_passed = all(c.passed for c in checks)
     if args.json:
         payload = {
-            "all_passed": report.all_passed,
+            "all_passed": all_passed,
             "closed_form_tolerance": CLOSED_FORM_TOL,
-            "checks": [vars(c) for c in report.checks],
+            "checks": [vars(c) for c in checks],
         }
         print(json.dumps(payload, indent=2))
     else:
-        width = max(len(c.name) for c in report.checks)
-        for c in report.checks:
+        width = max(len(c.name) for c in checks)
+        for c in checks:
             status = "PASS" if c.passed else "FAIL"
             computed = "none" if c.computed is None else f"{c.computed:.3e}"
             print(f"{status}  {c.name:<{width}}  computed={computed}  "
                   f"expected={c.expected:.3e}  ({c.comparison}, tol={c.tolerance:.0e})")
             if not c.passed and c.note:
                 print(f"      note: {c.note}")
-        passed = sum(c.passed for c in report.checks)
-        print(f"{passed}/{len(report.checks)} checks passed")
-    return 0 if report.all_passed else 1
+        passed = sum(c.passed for c in checks)
+        print(f"{passed}/{len(checks)} checks passed")
+    return 0 if all_passed else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

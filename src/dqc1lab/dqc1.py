@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z  # re-exported as dqc1.PAULI_*
-from .linalg import DensityMatrix, _frozen, _rebuilt, _unitary, kron_all
+from .linalg import PAULI_X, DensityMatrix, _frozen, _rebuilt, _unitary, kron_all
 
 MAX_REGISTER = 5
 MAX_SHOTS = 2**63 - 1  # the largest trial count numpy's binomial sampler takes

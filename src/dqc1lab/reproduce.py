@@ -12,7 +12,7 @@ notes on the failing checks and the README give the derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -101,8 +101,10 @@ QUANTITIES: dict[str, tuple[Callable[[list[float]], list[float]],
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
+    """One battery result.  A deviation check stores ``expected = 0`` and its bound in
+    ``tolerance``; a threshold check stores the threshold in ``expected``, ``tolerance = 0``."""
     name: str
     computed: float | None  # None when the check's group raised
     expected: float
@@ -110,15 +112,6 @@ class Check:
     comparison: str  # "abs_error<=tol" or "value>threshold"
     passed: bool
     note: str = ""
-
-
-@dataclass
-class ReproduceReport:
-    checks: list[Check] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _alpha_grid_group():
@@ -305,10 +298,10 @@ _GROUPS = (
 )
 
 
-def run_reproduce() -> ReproduceReport:
+def run_reproduce() -> tuple[Check, ...]:
     """Run the full battery.  A group that raises ``ValueError`` (numpy's ``LinAlgError``
     is one) or ``RuntimeError`` fails its checks, noting the exception; others propagate."""
-    report = ReproduceReport()
+    checks = []
     for group, rows in _GROUPS:
         try:
             outcomes = [(float(value), row[3]) for value, row in zip(group(), rows, strict=True)]
@@ -317,6 +310,6 @@ def run_reproduce() -> ReproduceReport:
         for (name, comparison, bound, _), (value, note) in zip(rows, outcomes):
             above = comparison == _THRESHOLD
             passed = value is not None and (value > bound if above else value <= bound)
-            report.checks.append(Check(name, value, bound if above else 0.0,
-                                       0.0 if above else bound, comparison, passed, note))
-    return report
+            checks.append(Check(name, value, bound if above else 0.0,
+                                0.0 if above else bound, comparison, passed, note))
+    return tuple(checks)

@@ -441,8 +441,8 @@ def test_criterion_8_trace_estimation():
             for a in (0.0, 0.25, 0.5, 0.75, 1.0):
                 s = d.Dqc1State(a, u)
                 x, y = d.expectation_xy(s)
-                bx = np.trace(np.kron(d.dqc1.PAULI_X, eye) @ s.state.matrix).real
-                by = np.trace(np.kron(d.dqc1.PAULI_Y, eye) @ s.state.matrix).real
+                bx = np.trace(np.kron(d.linalg.PAULI_X, eye) @ s.state.matrix).real
+                by = np.trace(np.kron(d.linalg.PAULI_Y, eye) @ s.state.matrix).real
                 assert abs(x - bx) <= 1e-12
                 assert abs(y - by) <= 1e-12
         s = d.Dqc1State(1.0, d.build_un(d.canonical_blocks(), 2))

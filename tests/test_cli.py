@@ -133,7 +133,7 @@ def test_reproduce_checks_the_separability_verdict(monkeypatch, index, status, b
         return dataclasses.replace(verdict, status=status)
 
     monkeypatch.setattr(reproduce, "_verdict", altered)
-    failed = {c.name for c in reproduce.run_reproduce().checks if not c.passed}
+    failed = {c.name for c in reproduce.run_reproduce() if not c.passed}
     assert failed == KNOWN_DISCREPANT_CHECKS | broken
 
 
@@ -344,7 +344,7 @@ def test_sweep_and_battery_read_one_closed_form(monkeypatch, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 11
     assert all(float(r.split(",")[4]) <= 1e-9 for r in rows)  # abs_error column
-    checks = {c.name: c for c in reproduce.run_reproduce().checks}
+    checks = {c.name: c for c in reproduce.run_reproduce()}
     identity = checks["activation-identity-closed-form"]
     assert identity.computed <= 1e-9
     assert identity.passed

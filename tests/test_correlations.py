@@ -22,7 +22,7 @@ from dqc1lab.correlations import (
     _measured_qubit_blocks,
     _refine,
 )
-from dqc1lab.dqc1 import PAULI_X
+from dqc1lab.linalg import PAULI_X
 
 ALPHAS = np.linspace(0.0, 1.0, 101)
 

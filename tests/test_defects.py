@@ -71,7 +71,7 @@ def test_battery_catches_defect(monkeypatch, defect, outcome):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, broken)
-    report = run_reproduce()
-    flipped = {c.name for c in report.checks if c.passed == (c.name in PUBLISHED_FAILURES)}
+    checks = run_reproduce()
+    flipped = {c.name for c in checks if c.passed == (c.name in PUBLISHED_FAILURES)}
     assert flipped, "the battery does not see this defect"
     assert flipped == outcome

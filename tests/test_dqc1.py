@@ -5,8 +5,7 @@ import pytest
 from conftest import random_unitary
 
 import dqc1lab as d
-from dqc1lab.dqc1 import PAULI_X, PAULI_Y
-from dqc1lab.linalg import unitarity_defect
+from dqc1lab.linalg import PAULI_X, PAULI_Y, unitarity_defect
 
 
 def build_un_oracle(spec, n):

@@ -16,8 +16,7 @@ from conftest import (
 
 import dqc1lab as d
 from dqc1lab import linalg
-from dqc1lab.dqc1 import PAULI_X, PAULI_Z
-from dqc1lab.linalg import _pauli_coefficients
+from dqc1lab.linalg import PAULI_X, PAULI_Z, _pauli_coefficients
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -499,16 +498,12 @@ def test_eigensolver_failure_raises_numpys_own_error(solver, call, monkeypatch):
 
 
 def test_pauli_constants_are_read_only():
-    from dqc1lab import dqc1, linalg
-
     arrays = [linalg.PAULI_I, linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z,
               linalg._PAULI_STACK]
     before = [a.copy() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 5
-    with pytest.raises(ValueError, match="read-only"):
-        dqc1.PAULI_X[0, 0] = 5
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
     # a failed write leaves the shared constants intact for every later build
     u = d.build_un(d.canonical_blocks(), 3)

@@ -364,7 +364,7 @@ HANDED_OUT = {
     "AdversaryStrategy.unitaries": lambda: d.AdversaryStrategy.identity().unitaries[0],
     "pauli_string_matrix": lambda: d.pauli_string_matrix("XXX"),
     "eta_state.matrix": lambda: d.eta_state().matrix,
-    "PAULI_X": lambda: d.dqc1.PAULI_X,
+    "PAULI_X": lambda: d.linalg.PAULI_X,
 }
 
 
@@ -386,19 +386,29 @@ def test_no_handed_out_array_can_be_made_writable(handed_out):
     assert_never_writable(handed_out())
 
 
-def array_records():
-    """Every dataclass defined in a dqc1lab module with a field annotated by
-    np.ndarray or by a mapping: the records a copy could unfreeze."""
+def records():
+    """Every dataclass defined in a dqc1lab module."""
     found = set()
     for info in pkgutil.iter_modules(d.__path__):
         module = importlib.import_module(f"dqc1lab.{info.name}")
         for obj in vars(module).values():
             if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                    and obj.__module__ == module.__name__
-                    and any(kind in str(f.type) for f in dataclasses.fields(obj)
-                            for kind in ("np.ndarray", "Mapping", "dict"))):
+                    and obj.__module__ == module.__name__):
                 found.add(obj)
     return found
+
+
+def array_records():
+    """Every record with a field annotated by np.ndarray or by a mapping:
+    the records a copy could unfreeze."""
+    return {r for r in records()
+            if any(kind in str(f.type) for f in dataclasses.fields(r)
+                   for kind in ("np.ndarray", "Mapping", "dict"))}
+
+
+def test_every_record_is_frozen():
+    assert [r.__name__ for r in records() if not r.__dataclass_params__.frozen] == []
+    assert len(records()) == 10
 
 
 # one instance of each record that stores arrays

@@ -8,6 +8,7 @@ is reported as on a normal run.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -44,12 +45,23 @@ def _run_cli(argv):
 def test_table_declares_the_battery_in_order(normal_run):
     declared = [name for _, rows in reproduce._GROUPS for name, *_ in rows]
     assert len(declared) == len(set(declared)) == 20
-    assert declared == [c.name for c in normal_run.checks]
+    assert declared == [c.name for c in normal_run]
+
+
+def test_the_battery_result_cannot_be_rewritten(normal_run):
+    assert type(normal_run) is tuple and len(normal_run) == 20
+    assert all(type(c) is reproduce.Check for c in normal_run)
+    lam5 = next(c for c in normal_run if c.name == "ghz-lambda5-closed-form")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lam5.passed = True
+    with pytest.raises(TypeError):
+        normal_run[:] = [c for c in normal_run if c.passed]
+    assert not lam5.passed and len(normal_run) == 20
 
 
 @pytest.mark.parametrize("group, rows", reproduce._GROUPS, ids=GROUP_IDS)
 def test_each_group_returns_exactly_its_own_checks(normal_run, group, rows):
-    computed = {c.name: c.computed for c in normal_run.checks}
+    computed = {c.name: c.computed for c in normal_run}
     values = [float(v) for v in group()]
     # one value per declared row, each the very bits the battery reported
     assert [v.hex() for v in values] == [computed[name].hex() for name, *_ in rows]
@@ -62,10 +74,10 @@ def test_each_group_returns_exactly_its_own_checks(normal_run, group, rows):
 ], ids=["ValueError", "RuntimeError", "LinAlgError"])
 def test_a_raising_group_fails_only_its_own_checks(monkeypatch, normal_run, exc):
     _raise_in_discord(monkeypatch, exc)
-    report = reproduce.run_reproduce()
-    assert [c.name for c in report.checks] == [c.name for c in normal_run.checks]
+    checks = reproduce.run_reproduce()
+    assert [c.name for c in checks] == [c.name for c in normal_run]
     note = f"{type(exc).__name__}: {exc}"
-    for normal, c in zip(normal_run.checks, report.checks):
+    for normal, c in zip(normal_run, checks):
         if c.name in DISCORD_CHECKS:
             assert (c.computed, c.passed, c.note) == (None, False, note)
             assert (c.expected, c.tolerance, c.comparison) == (
@@ -86,10 +98,10 @@ def test_a_group_returning_the_wrong_count_fails_only_its_own_checks(
               else (lambda: change(tuple(reproduce._discord_group())), rows)
               for group, rows in reproduce._GROUPS]
     monkeypatch.setattr(reproduce, "_GROUPS", tuple(groups))
-    report = reproduce.run_reproduce()
-    assert [c.name for c in report.checks] == [c.name for c in normal_run.checks]
+    checks = reproduce.run_reproduce()
+    assert [c.name for c in checks] == [c.name for c in normal_run]
     note = f"ValueError: zip() argument 2 is {rows_are} than argument 1"
-    for normal, c in zip(normal_run.checks, report.checks):
+    for normal, c in zip(normal_run, checks):
         if c.name in DISCORD_CHECKS:
             assert (c.computed, c.passed, c.note) == (None, False, note)
         else:

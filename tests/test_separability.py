@@ -51,8 +51,8 @@ def test_pauli_string_matrix_rejects_bad_input():
 
 
 def test_cached_pauli_strings_match_kron_oracle():
-    paulis = {"I": d.dqc1.PAULI_I, "X": d.dqc1.PAULI_X,
-              "Y": d.dqc1.PAULI_Y, "Z": d.dqc1.PAULI_Z}
+    paulis = {"I": d.linalg.PAULI_I, "X": d.linalg.PAULI_X,
+              "Y": d.linalg.PAULI_Y, "Z": d.linalg.PAULI_Z}
     for letters in itertools.product("IXYZ", repeat=3):
         s = "".join(letters)
         p = d.pauli_string_matrix(s)
